@@ -1,9 +1,13 @@
 """Evaluation surface: perplexity, multiple-choice scoring, few-shot
 prompt assembly, exact match, and deterministic generation.
 
-Generation decodes incrementally with a per-layer KV cache held as plain
-numpy arrays; the cached path must pick the same tokens as recomputing
-the full forward pass each step, which the tests assert.
+Generation and multiple-choice scoring run through `model.forward` with
+a preallocated KV cache (`DecodeSession`), the same code as training.
+Decoding feeds each new token after the cached ones and must pick the
+same tokens as recomputing the full forward pass each step, which the
+tests assert. Multiple choice forwards the rendered prompt once; each
+choice rewinds the cache to the end of the prompt and forwards only its
+own tokens.
 """
 
 from __future__ import annotations
@@ -19,9 +23,8 @@ import numpy as np
 
 from .data import pack_sequences
 from .errors import ConfigError
-from .fp8 import fp8_e4m3
-from .model import LoraAdapter, ModelConfig, ModelParams, forward, rope_angles
-from .tensor import IGNORE_INDEX, cross_entropy, no_grad, _sigmoid
+from .model import KVCache, LoraAdapter, ModelConfig, ModelParams, forward
+from .tensor import IGNORE_INDEX, cross_entropy, no_grad
 from .tokenizer import Vocab, decode, encode
 
 # few-shot constants: exemplar blocks are "question\nanswer" joined by a
@@ -109,24 +112,39 @@ def mc_score(params, config, task: MCTask, vocab: Vocab | None = None, *, k: int
              logprob_fn: Callable[[str, str], float] | None = None,
              adapters=None, fp8: bool = False) -> dict:
     """Score one task; `logprob_fn(prompt_text, choice_text)` overrides the
-    model path (used for fixtures and statistical oracles)."""
+    model path (used for fixtures and statistical oracles).
+
+    The model path forwards the prompt once. Each choice rewinds the cache
+    to the end of the prompt and forwards its tokens but the last; its
+    first token is scored by the prompt's last row.
+    """
     prompt_text = few_shot_render(task, k, delimiter, seed) + QUERY_SUFFIX
     if logprob_fn is not None:
         lps = [float(logprob_fn(prompt_text, c)) for c in task.choices]
     else:
-        from .dpo import sequence_logprob
-        prompt_ids = np.array(encode(prompt_text, vocab), dtype=np.int64)
+        prompt_ids = encode(prompt_text, vocab)
+        choice_ids = [encode(c, vocab) for c in task.choices]
+        session = DecodeSession(params, config, adapters=adapters, fp8=fp8,
+                                capacity=len(prompt_ids) + max(map(len, choice_ids)))
+        first = _log_softmax(session.step(prompt_ids)[-1:])
         lps = []
-        with no_grad():
-            for choice in task.choices:
-                ids = np.array(encode(choice, vocab), dtype=np.int64)
-                lps.append(float(sequence_logprob(params, config, prompt_ids, ids,
-                                                  adapters=adapters, fp8=fp8).item()))
+        for ids in choice_ids:
+            session.pos = len(prompt_ids)
+            logp = first
+            if len(ids) > 1:
+                logp = np.concatenate([first, _log_softmax(session.step(ids[:-1]))])
+            lps.append(float(logp[np.arange(len(ids)), ids].sum()))
     acc_pick, acc_norm_pick = mc_pick(lps, task.choices)
     return {"acc_pick": acc_pick, "acc_norm_pick": acc_norm_pick,
             "acc_correct": acc_pick == task.gold,
             "acc_norm_correct": acc_norm_pick == task.gold,
             "logprobs": lps}
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits.astype(np.float64)
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -162,95 +180,25 @@ def apply_repetition_penalty(logits: np.ndarray, token_ids, penalty: float) -> n
     return out
 
 
-class DecodeSession:
-    """Incremental forward pass over raw numpy weights with a KV cache.
+class DecodeSession(KVCache):
+    """A KV cache bound to one model; `step` runs the cached `forward`.
 
-    Mirrors the training forward exactly in structure (pre-norm blocks,
-    rotate-half RoPE, grouped KV broadcast, sliding-window causal
-    restriction, quantized linears under fp8) so greedy decoding picks
-    the same tokens as full re-forwarding.
+    capacity sizes the buffers to the request; a step that needs more
+    rows grows them, up to the context.
     """
 
-    def __init__(self, params: ModelParams, config: ModelConfig, *,
+    def __init__(self, params: ModelParams, config: ModelConfig, *, capacity: int = 0,
                  adapters: dict[str, LoraAdapter] | None = None, fp8: bool = False):
-        self.config = config
-        self.fp8 = fp8
-        self.adapters = adapters or {}
-        self.w = {name: t.data for name, t in params.named_tensors().items()}
-        self.n_layers = len(params.layers)
-        dt = params.dtype
-        shape = (config.n_kv_heads, 0, config.head_dim)
-        self.k_cache = [np.zeros(shape, dtype=dt) for _ in range(self.n_layers)]
-        self.v_cache = [np.zeros(shape, dtype=dt) for _ in range(self.n_layers)]
-        self.pos = 0
-
-    def _linear(self, x: np.ndarray, name: str) -> np.ndarray:
-        w = self.w[name]
-        y = (fp8_e4m3(x) @ fp8_e4m3(w)) if self.fp8 else (x @ w)
-        adapter = self.adapters.get(name)
-        if adapter is not None:
-            y = y + adapter.scale * ((x @ adapter.a.data) @ adapter.b.data)
-        return y
-
-    def _rms(self, x: np.ndarray, name: str) -> np.ndarray:
-        r = np.sqrt((x * x).mean(axis=-1, keepdims=True) + self.config.norm_eps)
-        return x / r * self.w[name]
-
-    @staticmethod
-    def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-        half = x.shape[-1] // 2
-        c = cos[:, None, :].astype(x.dtype)
-        s = sin[:, None, :].astype(x.dtype)
-        x1, x2 = x[..., :half], x[..., half:]
-        return np.concatenate([x1 * c - x2 * s, x1 * s + x2 * c], axis=-1)
+        super().__init__(config, capacity, params.dtype)
+        self.params, self.adapters, self.fp8 = params, adapters, fp8
 
     def step(self, tokens) -> np.ndarray:
         """Process new tokens; returns their [t, vocab] logit rows."""
-        cfg = self.config
         ids = np.asarray(tokens, dtype=np.int64).reshape(-1)
-        t = ids.size
-        if t == 0:
-            raise ValueError("step needs at least one token")
-        if self.pos + t > cfg.max_context:
-            raise ValueError(f"decode would exceed context {cfg.max_context}")
-        if ids.min() < 0 or ids.max() >= cfg.vocab_size:
-            raise ValueError("token id outside vocabulary")
-        positions = np.arange(self.pos, self.pos + t)
-        cos, sin = rope_angles(positions, cfg.head_dim, cfg.rope_theta)
-        group = cfg.group_size
-        scale = 1.0 / math.sqrt(cfg.head_dim)
-        x = self.w["token_embedding"][ids]
-        for li in range(self.n_layers):
-            prefix = f"layers.{li}"
-            h = self._rms(x, f"{prefix}.norm_attn")
-            q = self._linear(h, f"{prefix}.attn.wq").reshape(t, cfg.n_heads, cfg.head_dim)
-            k = self._linear(h, f"{prefix}.attn.wk").reshape(t, cfg.n_kv_heads, cfg.head_dim)
-            v = self._linear(h, f"{prefix}.attn.wv").reshape(t, cfg.n_kv_heads, cfg.head_dim)
-            q = self._rotate(q, cos, sin)
-            k = self._rotate(k, cos, sin)
-            self.k_cache[li] = np.concatenate([self.k_cache[li], k.transpose(1, 0, 2)], axis=1)
-            self.v_cache[li] = np.concatenate([self.v_cache[li], v.transpose(1, 0, 2)], axis=1)
-            kq = np.repeat(self.k_cache[li], group, axis=0)
-            vq = np.repeat(self.v_cache[li], group, axis=0)
-            scores = np.einsum("thd,hjd->htj", q, kq) * scale
-            j = np.arange(kq.shape[1])[None, :]
-            i = positions[:, None]
-            allowed = j <= i
-            if cfg.sliding_window is not None:
-                allowed &= j > i - cfg.sliding_window
-            scores = np.where(allowed[None, :, :], scores, -np.inf)
-            m = scores.max(axis=-1, keepdims=True)
-            e = np.exp(scores - m)
-            probs = e / e.sum(axis=-1, keepdims=True)
-            ctx = np.einsum("htj,hjd->thd", probs, vq).reshape(t, cfg.n_heads * cfg.head_dim)
-            x = x + self._linear(ctx, f"{prefix}.attn.wo")
-            h2 = self._rms(x, f"{prefix}.norm_mlp")
-            gate = self._linear(h2, f"{prefix}.mlp.w_gate")
-            gate = gate * _sigmoid(gate)
-            up = self._linear(h2, f"{prefix}.mlp.w_up")
-            x = x + self._linear(gate * up, f"{prefix}.mlp.w_down")
-        self.pos += t
-        return self._rms(x, "final_norm") @ self.w["lm_head"]
+        self.reserve(self.pos + ids.size)
+        with no_grad():
+            return forward(self.params, ids, self.config, adapters=self.adapters,
+                           fp8=self.fp8, cache=self).data
 
 
 def _pick_token(row: np.ndarray, seen_ids, temperature: float, penalty: float,
@@ -288,22 +236,15 @@ def generate(params: ModelParams, config: ModelConfig, prompt_ids, *, max_new: i
     rng = np.random.default_rng(seed)
     ids = prompt.tolist()
     generated: list[int] = []
-    session = None
-    if use_cache:
-        session = DecodeSession(params, config, adapters=adapters, fp8=fp8)
-
-    def last_row() -> np.ndarray:
-        if session is not None:
-            new = ids[session.pos:]
-            return session.step(new)[-1].astype(np.float64)
-        with no_grad():
-            out = forward(params, np.asarray(ids, dtype=np.int64), config,
-                          adapters=adapters, fp8=fp8)
-        return out.data[-1].astype(np.float64)
-
+    session = DecodeSession(params, config, adapters=adapters, fp8=fp8,
+                            capacity=min(prompt.size + max_new, config.max_context))
     while len(generated) < max_new and len(ids) < config.max_context:
-        row = last_row()
-        nxt = _pick_token(row, ids, temperature, repetition_penalty, rng)
+        if use_cache:
+            row = session.step(ids[session.pos:])[-1]
+        else:
+            with no_grad():
+                row = forward(params, ids, config, adapters=adapters, fp8=fp8).data[-1]
+        nxt = _pick_token(row.astype(np.float64), ids, temperature, repetition_penalty, rng)
         generated.append(nxt)
         ids.append(nxt)
         if eos_id is not None and nxt == eos_id:

@@ -27,14 +27,16 @@ _SUBNORMAL_ULP_EXP = -9
 def fp8_e4m3(x) -> np.ndarray:
     """Round an array to the nearest E4M3 value (saturating, NaN-preserving)."""
     arr = np.asarray(x)
-    out_dtype = arr.dtype if arr.dtype.kind == "f" else np.dtype(np.float64)
-    work = np.clip(arr.astype(np.float64), -E4M3_MAX, E4M3_MAX)
+    if arr.dtype.kind != "f":
+        arr = arr.astype(np.float64)
+    # Rounding in the input dtype is exact: the ulp is a power of two, so
+    # scaling by it is exact, and the dtype holds every E4M3 value.
+    work = np.clip(arr, -E4M3_MAX, E4M3_MAX)
     # frexp writes |v| = m * 2**e with m in [0.5, 1), so floor(log2|v|) = e - 1.
     _, exps = np.frexp(work)
-    ulp = np.ldexp(1.0, np.maximum(exps - 4, _SUBNORMAL_ULP_EXP))
+    ulp = np.ldexp(arr.dtype.type(1.0), np.maximum(exps - 4, _SUBNORMAL_ULP_EXP))
     with np.errstate(invalid="ignore"):
-        q = np.round(work / ulp) * ulp
-    return q.astype(out_dtype)
+        return np.round(work / ulp) * ulp
 
 
 def fp8_emulate(x: Tensor) -> Tensor:

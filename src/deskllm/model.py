@@ -8,6 +8,7 @@ sliding-window causal masking, grouped-query attention, and a gated
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -230,19 +231,22 @@ def linear(x: Tensor, w: Tensor, *, fp8: bool = False, adapter: LoraAdapter | No
 # ---------------------------------------------------------------------------
 # positional rotation and masking
 
-def rope_angles(positions, d_head: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """cos/sin tables [T, d_head/2] for integer positions (may be negative)."""
+def rope_tables(positions, d_head: int, theta: float, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """cos/sin tables [T, d_head] for integer positions (may be negative);
+    both halves of a head turn by the same angles."""
     half = d_head // 2
     inv = float(theta) ** (-2.0 * np.arange(half, dtype=np.float64) / d_head)
     ang = np.asarray(positions, dtype=np.float64)[:, None] * inv[None, :]
-    return np.cos(ang), np.sin(ang)
+    ang = np.concatenate([ang, ang], axis=1)
+    return np.cos(ang).astype(dtype), np.sin(ang).astype(dtype)
 
 
-def rope_rotate(x: Tensor, positions, theta: float) -> Tensor:
+def rope_rotate(x: Tensor, positions, theta: float, *, tables=None) -> Tensor:
     """Rotate head vectors by position-dependent angles.
 
     x is [T, ..., d_head]; dimension i pairs with i + d_head/2 and turns
-    by angle p * theta**(-2i/d_head) at position p.
+    by angle p * theta**(-2i/d_head) at position p. `tables` passes
+    rope_tables(positions, ...) already computed for x's dtype.
     """
     d = x.shape[-1]
     if d % 2 != 0:
@@ -251,31 +255,27 @@ def rope_rotate(x: Tensor, positions, theta: float) -> Tensor:
     if positions.ndim != 1 or positions.shape[0] != x.shape[0]:
         raise ShapeError(
             f"positions shape {positions.shape} does not match sequence length {x.shape[0]}")
-    cos, sin = rope_angles(positions, d, theta)
-    lift = (x.shape[0],) + (1,) * (x.data.ndim - 2) + (d // 2,)
-    cos_t = Tensor(cos.reshape(lift).astype(x.dtype))
-    sin_t = Tensor(sin.reshape(lift).astype(x.dtype))
-    half = d // 2
-    x1 = T.slice_last(x, 0, half)
-    x2 = T.slice_last(x, half, d)
-    out1 = T.add(T.mul(x1, cos_t), T.neg(T.mul(x2, sin_t)))
-    out2 = T.add(T.mul(x1, sin_t), T.mul(x2, cos_t))
-    return T.concat_last(out1, out2)
+    cos, sin = tables if tables is not None else rope_tables(positions, d, theta, x.dtype)
+    lift = (x.shape[0],) + (1,) * (x.data.ndim - 2) + (d,)
+    return T.rotary(x, cos.reshape(lift), sin.reshape(lift))
 
 
-def attention_mask(seq_len: int, window: int | None = None, dtype="f32") -> Tensor:
+def attention_mask(seq_len: int, window: int | None = None, dtype="f32", *,
+                   start: int = 0) -> Tensor:
     """Additive mask: position i may attend j in [max(0, i-window+1), i].
 
-    Window absent means plain causal. Disallowed entries carry the
-    dtype's masking constant; allowed entries are zero.
+    Window absent means plain causal. Rows are the queries at positions
+    start..start+seq_len-1; columns are the keys they can reach, from the
+    first query's window start to the last query. Disallowed entries
+    carry the dtype's masking constant; allowed entries are zero.
     """
     if seq_len < 1:
         raise ValueError(f"seq_len must be >= 1, got {seq_len}")
     if window is not None and window < 1:
         raise ConfigError(f"sliding window must be positive, got {window!r}")
     np_dtype = _np_dtype(dtype)
-    i = np.arange(seq_len)[:, None]
-    j = np.arange(seq_len)[None, :]
+    i = np.arange(start, start + seq_len)[:, None]
+    j = np.arange(0 if window is None else max(0, start - window + 1), start + seq_len)[None, :]
     allowed = j <= i
     if window is not None:
         allowed &= j >= i - window + 1
@@ -291,23 +291,24 @@ def gqa_attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, mask: Tensor,
                   wo_adapter: LoraAdapter | None = None) -> Tensor:
     """Grouped-query scaled dot-product attention with output projection.
 
-    q is [T, hidden]; k and v are [T, kv_dim]. Each group of
+    q is [Tq, hidden]; k and v are [Tk, kv_dim] and the mask is [Tq, Tk]
+    (Tk exceeds Tq when earlier keys come from a cache). Each group of
     n_heads/n_kv_heads query heads shares one KV head; scores are scaled
     by 1/sqrt(head_dim), masked, softmaxed, applied to values, and the
     concatenated heads are projected by wo.
     """
     n_h, n_kv, d = config.n_heads, config.n_kv_heads, config.head_dim
-    t_len = q.shape[0]
+    t_len, t_keys = q.shape[0], k.shape[0]
     if q.shape != (t_len, n_h * d):
         raise ShapeError(f"q shape {q.shape} inconsistent with {n_h} heads of dim {d}")
-    if k.shape != (t_len, n_kv * d) or v.shape != (t_len, n_kv * d):
+    if k.shape != (t_keys, n_kv * d) or v.shape != k.shape:
         raise ShapeError(
             f"k/v shapes {k.shape}/{v.shape} inconsistent with {n_kv} KV heads of dim {d}")
     group = config.group_size
     # Query head h = kv*group + g lands at [kv, g]; k and v broadcast over g.
     qh = T.reshape(T.transpose(T.reshape(q, (t_len, n_h, d)), (1, 0, 2)), (n_kv, group, t_len, d))
-    kh = T.reshape(T.transpose(T.reshape(k, (t_len, n_kv, d)), (1, 0, 2)), (n_kv, 1, t_len, d))
-    vh = T.reshape(T.transpose(T.reshape(v, (t_len, n_kv, d)), (1, 0, 2)), (n_kv, 1, t_len, d))
+    kh = T.reshape(T.transpose(T.reshape(k, (t_keys, n_kv, d)), (1, 0, 2)), (n_kv, 1, t_keys, d))
+    vh = T.reshape(T.transpose(T.reshape(v, (t_keys, n_kv, d)), (1, 0, 2)), (n_kv, 1, t_keys, d))
     scores = T.mul(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))), 1.0 / math.sqrt(d))
     weights = T.softmax(T.add(scores, mask), axis=-1)
     ctx = T.matmul(weights, vh)
@@ -315,22 +316,21 @@ def gqa_attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, mask: Tensor,
     return linear(ctx, wo, fp8=fp8, adapter=wo_adapter)
 
 
-def _adapter_lookup(adapters, prefix: str):
-    def get(key: str):
-        if not adapters:
-            return None
-        return adapters.get(f"{prefix}.{key}" if prefix else key)
-    return get
-
-
 def decoder_block(x: Tensor, layer: LayerParams, mask: Tensor, config: ModelConfig,
                   positions=None, *, fp8: bool = False, adapters=None,
-                  prefix: str = "") -> Tensor:
-    """Pre-norm attention and gated-MLP sublayers around residual adds."""
+                  prefix: str = "", rope=None, kv=None) -> Tensor:
+    """Pre-norm attention and gated-MLP sublayers around residual adds.
+
+    rope is rope_tables for positions when already computed. kv, given a
+    cache, maps this block's new rotated keys and values to the ones its
+    attention reads.
+    """
     t_len = x.shape[0]
     if positions is None:
         positions = np.arange(t_len)
-    adapter = _adapter_lookup(adapters, prefix)
+
+    def adapter(key: str):
+        return (adapters or {}).get(f"{prefix}.{key}" if prefix else key)
 
     h = T.rms_norm(x, layer.norm_attn, config.norm_eps)
     q = linear(h, layer.wq, fp8=fp8, adapter=adapter("attn.wq"))
@@ -338,11 +338,13 @@ def decoder_block(x: Tensor, layer: LayerParams, mask: Tensor, config: ModelConf
     v = linear(h, layer.wv, fp8=fp8, adapter=adapter("attn.wv"))
     d = config.head_dim
     q = T.reshape(rope_rotate(T.reshape(q, (t_len, config.n_heads, d)),
-                              positions, config.rope_theta),
+                              positions, config.rope_theta, tables=rope),
                   (t_len, config.hidden_size))
     k = T.reshape(rope_rotate(T.reshape(k, (t_len, config.n_kv_heads, d)),
-                              positions, config.rope_theta),
+                              positions, config.rope_theta, tables=rope),
                   (t_len, config.kv_dim))
+    if kv is not None:
+        k, v = kv(k, v)
     attn = gqa_attention(q, k, v, layer.wo, mask, config,
                          fp8=fp8, wo_adapter=adapter("attn.wo"))
     x = T.add(x, attn)
@@ -354,13 +356,56 @@ def decoder_block(x: Tensor, layer: LayerParams, mask: Tensor, config: ModelConf
     return T.add(x, y)
 
 
+class KVCache:
+    """Rotated keys and values of earlier positions, for forward(cache=...).
+
+    k_cache and v_cache are [n_layers, capacity, kv_dim] buffers sized to
+    the request; rows [0, pos) are live. A cached forward puts its tokens
+    at positions pos.., writes their keys and values to the rows after
+    the live ones and advances pos. Setting pos back rewinds: the next
+    forward overwrites the rows past it.
+    """
+
+    def __init__(self, config: ModelConfig, capacity: int, dtype):
+        if not 0 <= capacity <= config.max_context:
+            raise ValueError(f"cache capacity {capacity} outside [0, {config.max_context}]")
+        self.config, self.pos = config, 0
+        shape = (2, config.n_layers, capacity, config.kv_dim)
+        self.k_cache, self.v_cache = np.zeros(shape, dtype)
+
+    @property
+    def capacity(self) -> int:
+        return self.k_cache.shape[1]
+
+    def reserve(self, rows: int) -> None:
+        """Hold at least `rows` rows, growing at least twofold within the context."""
+        if rows > self.capacity:
+            rows = max(rows, min(2 * self.capacity, self.config.max_context))
+            grown = KVCache(self.config, rows, self.k_cache.dtype)
+            grown.k_cache[:, :self.pos] = self.k_cache[:, :self.pos]
+            grown.v_cache[:, :self.pos] = self.v_cache[:, :self.pos]
+            self.k_cache, self.v_cache = grown.k_cache, grown.v_cache
+
+    def _store(self, layer: int, lo: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Write new rows at pos; return views of rows [lo, pos + new rows)."""
+        end = self.pos + k.shape[0]
+        self.k_cache[layer, self.pos:end] = k.data
+        self.v_cache[layer, self.pos:end] = v.data
+        return Tensor(self.k_cache[layer, lo:end]), Tensor(self.v_cache[layer, lo:end])
+
+
 def forward(params: ModelParams, tokens, config: ModelConfig, *, fp8: bool = False,
-            adapters=None, positions=None, mask: Tensor | None = None) -> Tensor:
+            adapters=None, mask: Tensor | None = None, cache: KVCache | None = None) -> Tensor:
     """Logits [T, vocab] for one token sequence.
 
     fp8 rounds attention/MLP linear operands to E4M3 at forward time;
     the embedding, lm_head, and norm weights are never rounded.
     adapters maps tensor names (as in named_tensors) to LoraAdapter.
+
+    With a cache (only under no_grad), the tokens continue the cached
+    ones: they sit at positions cache.pos.., attend to the cached keys
+    and values within the window, and are appended to the cache. Training,
+    decoding and scoring all run this one path.
     """
     ids = np.asarray(tokens, dtype=np.int64)
     if ids.ndim != 1 or ids.size == 0:
@@ -371,14 +416,25 @@ def forward(params: ModelParams, tokens, config: ModelConfig, *, fp8: bool = Fal
     if ids.min() < 0 or ids.max() >= config.vocab_size:
         raise ValueError(
             f"token id out of range [0, {config.vocab_size}): min={ids.min()}, max={ids.max()}")
-    if positions is None:
-        positions = np.arange(t_len)
+    start = 0
+    if cache is not None:
+        if T.grad_enabled() or mask is not None:
+            raise ValueError("a cached forward runs under no_grad() and builds its own mask")
+        start = cache.pos
+        if start + t_len > cache.capacity:
+            raise ValueError(f"{start + t_len} positions exceed cache capacity {cache.capacity}")
+    positions = np.arange(start, start + t_len)
     if mask is None:
-        mask = attention_mask(t_len, config.sliding_window, dtype=params.dtype)
+        mask = attention_mask(t_len, config.sliding_window, dtype=params.dtype, start=start)
+    rope = rope_tables(positions, config.head_dim, config.rope_theta, params.dtype)
 
     x = T.embedding(params.token_embedding, ids)
+    first_key = start + t_len - mask.shape[-1]  # the mask's columns end at the last query
     for i, layer in enumerate(params.layers):
-        x = decoder_block(x, layer, mask, config, positions, fp8=fp8,
-                          adapters=adapters, prefix=f"layers.{i}")
+        kv = None if cache is None else functools.partial(cache._store, i, first_key)
+        x = decoder_block(x, layer, mask, config, positions, fp8=fp8, adapters=adapters,
+                          prefix=f"layers.{i}", rope=rope, kv=kv)
+    if cache is not None:
+        cache.pos = start + t_len
     x = T.rms_norm(x, params.final_norm, config.norm_eps)
     return T.matmul(x, params.lm_head)

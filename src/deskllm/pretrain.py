@@ -140,7 +140,8 @@ class Trainer:
 
     def _packed_stream(self, stage: DataStage, sources, seed: int):
         docs = sample_mix(stage, sources, seed=seed)
-        tokens = (encode(doc.text, self.vocab) for doc in docs)
+        vocab = self.vocab  # closing over self would make self._stream a reference cycle
+        tokens = (encode(doc.text, vocab) for doc in docs)
         return pack_sequences(tokens, stage.seq_len, self.vocab.eos_id)
 
     def _enter_stage(self, index: int, stage: DataStage) -> None:

@@ -26,7 +26,6 @@ find and reports them all at once instead of stopping at the first.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
@@ -406,22 +405,3 @@ def load_run_config(path, seed_override: int | None = None) -> RunConfig:
         generate=dict(obj.get("generate", {})),
         remap=dict(obj.get("remap", {})),
     )
-
-
-def config_to_json(cfg: RunConfig) -> str:
-    """Canonical JSON rendering of a validated config, for run records."""
-    doc = {
-        "run_dir": str(cfg.run_dir),
-        "seed": cfg.seed,
-        "dtype": cfg.dtype,
-        "fp8": cfg.fp8,
-        "model": dataclasses.asdict(cfg.model),
-        "data": cfg.data,
-        "pretrain": cfg.pretrain,
-        "sft": cfg.sft,
-        "dpo": cfg.dpo,
-        "eval": cfg.eval,
-        "generate": cfg.generate,
-        "remap": cfg.remap,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)

@@ -39,6 +39,11 @@ class EmptyLossError(ValueError):
 _grad_enabled = True
 
 
+def grad_enabled() -> bool:
+    """Whether ops record a backward graph (False inside `no_grad`)."""
+    return _grad_enabled
+
+
 @contextmanager
 def no_grad():
     """Disable graph recording inside the block (forward values only)."""
@@ -178,20 +183,28 @@ def silu(x: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # tanh saturates instead of overflowing, so no branch on the sign is needed.
+    return 0.5 * (1.0 + np.tanh(x * 0.5))
 
 
 def log_sigmoid(x: Tensor) -> Tensor:
     """Numerically stable log(sigmoid(x))."""
-    data = np.where(x.data >= 0, -np.log1p(np.exp(-np.abs(x.data))),
-                    x.data - np.log1p(np.exp(-np.abs(x.data))))
-    data = np.asarray(data, dtype=x.dtype)
+    data = np.minimum(x.data, 0) - np.log1p(np.exp(-np.abs(x.data)))
     return _make(data, [(x, lambda g: g * _sigmoid(-x.data))])
+
+
+def rotary(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """x * cos + rotate_half(x) * sin, with constant tables broadcast against x.
+
+    rotate_half maps the last-axis halves (x1, x2) to (-x2, x1). It is a
+    quarter turn, so its transpose is its negation.
+    """
+    half = x.shape[-1] // 2
+
+    def turn(a):
+        return np.concatenate([-a[..., half:], a[..., :half]], axis=-1)
+
+    return _make(x.data * cos + turn(x.data) * sin, [(x, lambda g: g * cos - turn(g * sin))])
 
 
 def straight_through(x: Tensor, fn: Callable[[np.ndarray], np.ndarray]) -> Tensor:
@@ -217,8 +230,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return _make(a.data.transpose(axes), [(a, lambda g: g.transpose(inv))])
+    return _make(a.data.transpose(axes), [(a, lambda g: g.transpose(np.argsort(axes)))])
 
 
 def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
@@ -314,7 +326,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     if not -x.data.ndim <= axis < x.data.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
     m = x.data.max(axis=axis, keepdims=True)
-    masked = (m <= MASK_NEG[x.dtype]) | np.isneginf(m)
+    masked = m <= MASK_NEG[x.dtype]  # also true for -inf
     with np.errstate(invalid="ignore"):
         e = np.exp(x.data - m)
         s = e / e.sum(axis=axis, keepdims=True)
@@ -336,7 +348,7 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
         raise ShapeError(f"rms_norm weight shape {weight.shape} does not match last extent {d}")
     if eps < 0:
         raise ValueError(f"rms_norm eps must be >= 0, got {eps}")
-    r = np.sqrt((x.data * x.data).mean(axis=-1, keepdims=True) + eps)
+    r = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True) / d + eps)
     xn = x.data / r
     data = xn * weight.data
 

@@ -14,7 +14,7 @@ from deskllm.evals import (DecodeSession, EMTask, MCTask, apply_repetition_penal
 from deskllm.dpo import init_lora_adapters
 from deskllm.model import forward
 from deskllm.tensor import no_grad
-from deskllm.tokenizer import byte_fallback_vocab
+from deskllm.tokenizer import byte_fallback_vocab, encode
 
 from modelutil import tiny_config, tiny_model
 
@@ -147,6 +147,59 @@ class TestMCScore:
             MCTask("q", ("a", "b"), gold=2)
 
 
+def full_forward_logprobs(params, cfg, prompt_ids, choices, vocab, **kwargs):
+    """Oracle: one full forward per choice, log-softmax in numpy."""
+    out = []
+    for choice in choices:
+        ids = np.array(list(prompt_ids) + list(encode(choice, vocab)), dtype=np.int64)
+        with no_grad():
+            z = forward(params, ids[:-1], cfg, **kwargs).data.astype(np.float64)
+        z -= z.max(axis=1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        rows = np.arange(len(prompt_ids) - 1, ids.size - 1)
+        out.append(float(logp[rows, ids[rows + 1]].sum()))
+    return out
+
+
+class TestPrefixSharedMC:
+    """mc_score forwards the prompt once and rewinds the cache per choice."""
+
+    TASK = MCTask("Which?", ("x", "yes", "maybe so"), gold=1,
+                  exemplars=(("First q", "ans one"), ("Second q", "two")))
+
+    def _score(self, params, cfg, task, vocab, **kwargs):
+        prompt = few_shot_render(task, 2, seed=3) + "\n"
+        got = mc_score(params, cfg, task, vocab, k=2, seed=3, **kwargs)["logprobs"]
+        want = full_forward_logprobs(params, cfg, encode(prompt, vocab), task.choices,
+                                     vocab, **kwargs)
+        return len(encode(prompt, vocab)), got, want
+
+    @pytest.mark.parametrize("mode", ["plain", "adapters", "fp8"])
+    def test_matches_full_forward_per_choice(self, mode):
+        cfg, params = tiny_model(seed=19, vocab_size=259, sliding_window=8)
+        vocab = byte_fallback_vocab()
+        kwargs = {}
+        if mode == "adapters":
+            kwargs["adapters"] = init_lora_adapters(params, seed=2)
+            for a in kwargs["adapters"].values():
+                a.b.data[...] = 0.05
+        elif mode == "fp8":
+            kwargs["fp8"] = True
+        n_prompt, got, want = self._score(params, cfg, self.TASK, vocab, **kwargs)
+        assert n_prompt > cfg.sliding_window
+        assert len(encode("x", vocab)) == 1
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    def test_choice_order_is_bitwise_irrelevant(self):
+        cfg, params = tiny_model(seed=20, vocab_size=259, sliding_window=8)
+        vocab = byte_fallback_vocab()
+        task = self.TASK
+        flipped = MCTask(task.question, task.choices[::-1], gold=0, exemplars=task.exemplars)
+        forward_order = mc_score(params, cfg, task, vocab, k=2, seed=3)["logprobs"]
+        reverse_order = mc_score(params, cfg, flipped, vocab, k=2, seed=3)["logprobs"]
+        assert np.array(forward_order).tobytes() == np.array(reverse_order[::-1]).tobytes()
+
+
 class TestFewShotRender:
     EXEMPLARS = (("Q1", "A1"), ("Q2", "A2"), ("Q3", "A3"))
 
@@ -225,7 +278,7 @@ class TestRepetitionPenalty:
 
 
 class TestDecodeSession:
-    @pytest.mark.parametrize("window", [None, 6])
+    @pytest.mark.parametrize("window", [None, 6, 2])
     def test_logits_match_full_forward(self, window):
         cfg, params = tiny_model(seed=8, vocab_size=32, sliding_window=window)
         ids = np.array([3, 1, 4, 1, 5, 9, 2, 6])

@@ -99,6 +99,32 @@ class TestRounding:
         err = np.abs(fp8_e4m3(xs) - xs) / np.abs(xs)
         assert err.max() <= 2.0 ** -4
 
+    def test_f32_bit_patterns_match_float64_oracle(self):
+        """Rounding in f32 equals rounding in f64, bit for bit, over a sweep of
+        every 97th f32 bit pattern (NaNs, signed zeros, subnormals, infinities)."""
+        def oracle(a):
+            work = np.clip(a.astype(np.float64), -E4M3_MAX, E4M3_MAX)
+            _, exps = np.frexp(work)
+            ulp = np.ldexp(1.0, np.maximum(exps - 4, -9))
+            return (np.round(work / ulp) * ulp).astype(np.float32)
+
+        step, chunk = 97, 97 << 20
+        specials = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 2.0 ** -149, -2.0 ** -149],
+                            dtype=np.float32)
+        checked = 0
+        with np.errstate(invalid="ignore"):
+            for lo in range(0, 1 << 32, chunk):
+                bits = np.arange(lo, min(lo + chunk, 1 << 32), step, dtype=np.uint64)
+                x = bits.astype(np.uint32).view(np.float32)
+                if lo == 0:
+                    x = np.concatenate([specials, x])
+                got = fp8_e4m3(x)
+                assert got.dtype == np.float32
+                bad = np.flatnonzero(got.view(np.uint32) != oracle(x).view(np.uint32))
+                assert bad.size == 0, x[bad[:5]]
+                checked += x.size
+        assert checked > 44_000_000
+
     def test_dtype_preserved(self):
         x32 = np.array([0.3], dtype=np.float32)
         x64 = np.array([0.3], dtype=np.float64)

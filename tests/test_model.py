@@ -8,6 +8,7 @@ import pytest
 from deskllm import tensor as T
 from deskllm.model import (
     ConfigError,
+    KVCache,
     LoraAdapter,
     ModelConfig,
     attention_mask,
@@ -21,7 +22,7 @@ from deskllm.model import (
     linear,
     rope_rotate,
 )
-from deskllm.tensor import ShapeError, Tensor, cross_entropy
+from deskllm.tensor import ShapeError, Tensor, cross_entropy, no_grad
 
 from fdcheck import check_grad
 from modelutil import reference_forward, tiny_config, tiny_model
@@ -202,6 +203,14 @@ class TestAttentionMask:
     def test_masking_constant_follows_dtype(self):
         assert attention_mask(2, None, dtype="f32").data[0, 1] == np.float32(-1e9)
         assert attention_mask(2, None, dtype="f64").data[0, 1] == -1e300
+
+    def test_offset_rows_cover_reachable_keys(self):
+        m = attention_mask(2, 3, dtype="f64", start=5).data
+        assert m.shape == (2, 4)  # keys 3..6
+        for row, i in enumerate((5, 6)):
+            got = {3 + c for c in range(4) if m[row, c] == 0.0}
+            assert got == {j for j in range(7) if i - 3 < j <= i}
+        assert attention_mask(2, None, dtype="f64", start=5).data.shape == (2, 7)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
@@ -469,3 +478,42 @@ class TestLinear:
                               alpha=16.0)
         assert adapter.rank == 4
         assert adapter.scale == 4.0
+
+
+class TestKVCache:
+    @pytest.mark.parametrize("window", [None, 3])
+    def test_rewind_overwrites_stale_rows(self, window):
+        cfg, params = tiny_model(seed=7, sliding_window=window)
+        cache = KVCache(cfg, 6, params.dtype)
+        with no_grad():
+            forward(params, [4, 8, 15, 16], cfg, cache=cache)
+            cache.pos = 1
+            got = forward(params, [23, 30, 7], cfg, cache=cache).data
+            full = forward(params, [4, 23, 30, 7], cfg).data
+        assert cache.pos == 4
+        np.testing.assert_allclose(got, full[1:], rtol=0, atol=1e-12)
+
+    def test_reads_only_the_window(self):
+        cfg, params = tiny_model(seed=8, sliding_window=2)
+        cache = KVCache(cfg, 5, params.dtype)
+        with no_grad():
+            forward(params, [1, 2, 3], cfg, cache=cache)
+            for buf in (cache.k_cache, cache.v_cache):
+                buf[:, 0] = np.nan  # position 0 is outside every later query's window
+            got = forward(params, [4, 5], cfg, cache=cache).data
+            full = forward(params, [1, 2, 3, 4, 5], cfg).data
+        np.testing.assert_allclose(got, full[3:], rtol=0, atol=1e-12)
+
+    def test_misuse_rejected(self):
+        cfg, params = tiny_model(seed=9, max_context=8)
+        with pytest.raises(ValueError):
+            forward(params, [1, 2], cfg, cache=KVCache(cfg, 4, params.dtype))  # records grad
+        with pytest.raises(ValueError):
+            KVCache(cfg, 9, params.dtype)
+        cache = KVCache(cfg, 2, params.dtype)
+        with no_grad(), pytest.raises(ValueError):
+            forward(params, [1, 2, 3], cfg, cache=cache)
+        cache.reserve(3)
+        assert cache.capacity == 4  # grows by doubling, within the context
+        with pytest.raises(ValueError):
+            cache.reserve(9)

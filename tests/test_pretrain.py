@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -151,6 +153,19 @@ class TestRunLoop:
     def test_step_cap(self):
         trainer, _, _ = make_trainer(max_steps=3)
         assert len(trainer.run()) == 3
+
+    def test_finished_trainer_freed_without_cycle_collector(self):
+        # Optimizer state must go when the last reference does, not at the
+        # next full garbage collection.
+        trainer, _, _ = make_trainer(max_steps=2, val=True, val_every=1)
+        trainer.run()
+        state = weakref.ref(trainer.opt)
+        gc.disable()
+        try:
+            del trainer
+            assert state() is None
+        finally:
+            gc.enable()
 
 
 class TestShardEquivalence:

@@ -159,6 +159,32 @@ class TestSilu:
         errs = check_grad(lambda: tsum(silu(x)), {"x": x})
         assert errs["x"] <= 1e-3
 
+    @pytest.mark.parametrize("dtype, big", [(np.float64, 1e3), (np.float32, 80.0)])
+    def test_extremes_finite_and_closed_form(self, dtype, big):
+        import mpmath
+
+        x = Tensor(np.array([-big, big], dtype=dtype), requires_grad=True)
+        with np.errstate(over="raise", invalid="raise"):
+            outs = {"silu": silu(x), "log_sigmoid": log_sigmoid(x)}
+            grads = {}
+            for name, out in outs.items():
+                x.zero_grad()
+                tsum(out).backward()
+                grads[name] = x.grad
+        with mpmath.workdps(50):
+            want = {"silu": ([v / (1 + mpmath.exp(-v)) for v in x.data],
+                             [(1 + mpmath.exp(-v) + v * mpmath.exp(-v))
+                              / (1 + mpmath.exp(-v)) ** 2 for v in x.data]),
+                    "log_sigmoid": ([-mpmath.log(1 + mpmath.exp(-v)) for v in x.data],
+                                    [1 / (1 + mpmath.exp(v)) for v in x.data])}
+        for name, (values, slopes) in want.items():
+            assert np.all(np.isfinite(outs[name].data)) and np.all(np.isfinite(grads[name]))
+            if dtype == np.float64:
+                np.testing.assert_allclose(outs[name].data, [float(v) for v in values],
+                                           rtol=1e-15, atol=1e-15)
+                np.testing.assert_allclose(grads[name], [float(v) for v in slopes],
+                                           rtol=1e-15, atol=1e-15)
+
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
