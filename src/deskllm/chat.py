@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import PATH, POSITIVE, check, count, number
 from .model import ModelConfig, ModelParams
 from .optim import AdamW, LrSchedule, OptimHyper, clip_grad_norm, cosine_lr
 from .pretrain import batch_loss, no_decay_names
@@ -122,6 +122,8 @@ def sft_loss(params: ModelParams, config: ModelConfig, examples) -> Tensor | Non
 
 @dataclass(frozen=True)
 class SftPlan:
+    """SFT settings; `init_checkpoint` is where the sft command starts from."""
+
     lr: float = 1e-5
     batch_size: int = 8
     epochs: int = 1
@@ -129,16 +131,13 @@ class SftPlan:
     min_lr_fraction: float = 0.1
     hyper: OptimHyper = field(default_factory=OptimHyper)
     seed: int = 0
+    init_checkpoint: str | None = None
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("batch_size and epochs must be >= 1")
-        if not 0.0 < self.warmup_fraction < 1.0:
-            raise ConfigError(f"warmup_fraction must be in (0, 1), got {self.warmup_fraction}")
-        if not 0.0 < self.min_lr_fraction <= 1.0:
-            raise ConfigError(f"min_lr_fraction must be in (0, 1], got {self.min_lr_fraction}")
+        check(self, lr=POSITIVE, batch_size=count(1), epochs=count(1),
+              warmup_fraction=number(lambda v: 0 < v < 1, "a number in (0, 1)"),
+              min_lr_fraction=number(lambda v: 0 < v <= 1, "a number in (0, 1]"),
+              init_checkpoint=PATH)
 
 
 def run_sft(params: ModelParams, config: ModelConfig,

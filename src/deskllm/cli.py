@@ -37,10 +37,9 @@ from .dpo import (DpoPlan, DpoStage, build_preference_pairs, dpo_train,
 from .evals import (evaluate_em_tasks, evaluate_tasks, generate_text,
                     load_tasks, perplexity, save_results)
 from .model import init_params
-from .optim import OptimHyper
 from .pretrain import Trainer
-from .runconfig import (RunConfig, RunConfigError, build_train_plan,
-                        group_by_source, load_run_config)
+from .runconfig import (EvalPlan, RunConfig, RunConfigError, group_by_source,
+                        load_run_config)
 from .tokenizer import encode, load_vocab
 
 CHECKPOINT_ORDER = {
@@ -89,9 +88,8 @@ def _acquire_lock(run_dir: Path) -> Path:
 
 def _pick_checkpoint(cfg: RunConfig, command: str) -> Path:
     """Explicit checkpoint from the config, else walk the stage chain."""
-    section = getattr(cfg, command)
     key = "init_checkpoint" if command in ("sft", "dpo") else "checkpoint"
-    explicit = section.get(key)
+    explicit = getattr(getattr(cfg, command), key, None)
     if explicit is not None:
         path = cfg.resolve(explicit)
         if not path.is_file():
@@ -115,9 +113,9 @@ def _require(cfg: RunConfig, command: str, condition: bool,
 
 
 def cmd_pretrain(cfg: RunConfig) -> int:
-    _require(cfg, "pretrain", bool(cfg.pretrain),
+    _require(cfg, "pretrain", cfg.pretrain is not None,
              "config has no pretrain section")
-    _require(cfg, "pretrain", cfg.data.get("corpus") is not None,
+    _require(cfg, "pretrain", cfg.data.corpus is not None,
              "data.corpus is required")
     vocab = cfg.load_vocab()
     sources = group_by_source(load_corpus(cfg.data_path("corpus")))
@@ -125,8 +123,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
     val_sources = (group_by_source(load_corpus(val_path))
                    if val_path is not None else None)
     params = init_params(cfg.model, seed=cfg.seed, dtype=cfg.dtype)
-    plan = build_train_plan(cfg)
-    trainer = Trainer(params, cfg.model, plan, sources, vocab,
+    trainer = Trainer(params, cfg.model, cfg.pretrain, sources, vocab,
                       val_sources=val_sources,
                       log_path=_log_path(cfg, "pretrain"))
     records = trainer.run()
@@ -141,20 +138,12 @@ def cmd_pretrain(cfg: RunConfig) -> int:
 
 
 def cmd_sft(cfg: RunConfig) -> int:
-    _require(cfg, "sft", cfg.data.get("sft") is not None,
+    _require(cfg, "sft", cfg.data.sft is not None,
              "data.sft (conversations file) is required")
     vocab = cfg.load_vocab()
     config, params, _ = load_model(_pick_checkpoint(cfg, "sft"))
     conversations = load_conversations(cfg.data_path("sft"))
-    section = cfg.sft
-    plan = SftPlan(
-        lr=section.get("lr", 1e-5),
-        batch_size=section.get("batch_size", 8),
-        epochs=section.get("epochs", 1),
-        warmup_fraction=section.get("warmup_fraction", 0.05),
-        min_lr_fraction=section.get("min_lr_fraction", 0.1),
-        seed=cfg.seed,
-    )
+    plan = cfg.sft or SftPlan(seed=cfg.seed)
     records = run_sft(params, config, conversations, vocab, plan,
                       log_path=_log_path(cfg, "sft"))
     out = _checkpoint_dir(cfg) / "sft.dkpt"
@@ -165,36 +154,26 @@ def cmd_sft(cfg: RunConfig) -> int:
     return 0
 
 
-def _dpo_stages(cfg: RunConfig) -> list[DpoStage]:
-    entries = cfg.dpo.get("stages")
-    if entries is None:
-        _require(cfg, "dpo", cfg.data.get("preferences") is not None,
-                 "either dpo.stages or data.preferences is required")
-        entries = [{"preferences": cfg.data["preferences"], "lr": 1e-5}]
+def _dpo_stages(cfg: RunConfig, plan: DpoPlan) -> list[DpoStage]:
     stages = []
-    for entry in entries:
-        records = load_preference_records(cfg.resolve(entry["preferences"]))
-        pairs = build_preference_pairs(records)
+    for entry in plan.stages:
+        path = (cfg.data.preferences if entry.preferences is None
+                else entry.preferences)
+        _require(cfg, "dpo", path is not None,
+                 "either dpo.stages or data.preferences is required")
+        pairs = build_preference_pairs(load_preference_records(cfg.resolve(path)))
         _require(cfg, "dpo", bool(pairs),
-                 f"no usable preference pairs in {entry['preferences']}")
-        stages.append(DpoStage(pairs=tuple(pairs), lr=entry["lr"],
-                               epochs=entry.get("epochs", 1)))
+                 f"no usable preference pairs in {path}")
+        stages.append(DpoStage(pairs=tuple(pairs), lr=entry.lr,
+                               epochs=entry.epochs))
     return stages
 
 
 def cmd_dpo(cfg: RunConfig) -> int:
     vocab = cfg.load_vocab()
     config, params, _ = load_model(_pick_checkpoint(cfg, "dpo"))
-    stages = _dpo_stages(cfg)
-    section = cfg.dpo
-    plan = DpoPlan(
-        beta=section.get("beta", 0.2),
-        rank=section.get("rank", 4),
-        alpha=section.get("alpha", 16.0),
-        batch_size=section.get("batch_size", 2),
-        hyper=OptimHyper(weight_decay=0.0),
-        seed=cfg.seed,
-    )
+    plan = cfg.dpo or DpoPlan(seed=cfg.seed)
+    stages = _dpo_stages(cfg, plan)
     adapters, records = dpo_train(params, config, stages, vocab, plan,
                                   log_path=_log_path(cfg, "dpo"))
     merged = lora_merge(params, adapters)
@@ -211,22 +190,20 @@ def cmd_dpo(cfg: RunConfig) -> int:
 def cmd_remap(cfg: RunConfig) -> int:
     from .tokenizer import remap_embeddings
 
-    section = cfg.remap
-    _require(cfg, "remap", section.get("new_vocab") is not None,
+    plan = cfg.remap
+    _require(cfg, "remap", plan is not None and plan.new_vocab is not None,
              "remap.new_vocab is required")
     old_vocab = cfg.load_vocab()
     new_vocab = load_vocab(
-        cfg.resolve(section["new_vocab"]),
-        merges_path=(cfg.resolve(section["new_merges"])
-                     if section.get("new_merges") is not None else None),
-        bos_id=section.get("bos_id"),
-        eos_id=section.get("eos_id"),
-        pad_id=section.get("pad_id"),
-    )
+        cfg.resolve(plan.new_vocab),
+        merges_path=(cfg.resolve(plan.new_merges)
+                     if plan.new_merges is not None else None),
+        bos_id=plan.bos_id, eos_id=plan.eos_id, pad_id=plan.pad_id)
     config, params, _ = load_model(_pick_checkpoint(cfg, "remap"))
     embedding, head, matched = remap_embeddings(
         old_vocab, new_vocab, params.token_embedding, params.lm_head,
-        init_std=config.init_std, seed=section.get("seed", cfg.seed))
+        init_std=config.init_std,
+        seed=cfg.seed if plan.seed is None else plan.seed)
     new_config = dataclasses.replace(config, vocab_size=len(new_vocab))
     new_params = dataclasses.replace(params, token_embedding=embedding,
                                      lm_head=head)
@@ -240,7 +217,7 @@ def cmd_remap(cfg: RunConfig) -> int:
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    section = cfg.eval
+    plan = cfg.eval or EvalPlan()
     tasks_path = cfg.data_path("tasks")
     val_path = cfg.data_path("val_corpus")
     _require(cfg, "eval", tasks_path is not None or val_path is not None,
@@ -255,18 +232,19 @@ def cmd_eval(cfg: RunConfig) -> int:
         if mc_tasks:
             mc_records, mc_agg = evaluate_tasks(
                 params, config, mc_tasks, vocab,
-                k=section.get("k_shot", 0), seed=cfg.seed, fp8=cfg.fp8)
+                k=plan.k_shot, seed=cfg.seed, fp8=cfg.fp8)
             records.extend(mc_records)
             aggregates.update(acc=mc_agg["acc"], acc_norm=mc_agg["acc_norm"],
                               n_mc=mc_agg["n_tasks"])
         if em_tasks:
             em_records, em_agg = evaluate_em_tasks(
                 params, config, em_tasks, vocab,
-                max_new=section.get("max_new", 32), fp8=cfg.fp8)
+                max_new=plan.max_new, fp8=cfg.fp8)
             records.extend(em_records)
             aggregates.update(em=em_agg["em"], n_em=em_agg["n_tasks"])
     if val_path is not None:
-        seq_len = section.get("seq_len", min(256, config.max_context))
+        seq_len = (min(256, config.max_context) if plan.seq_len is None
+                   else plan.seq_len)
         token_docs = [encode(doc.text, vocab)
                       for doc in load_corpus(val_path)]
         aggregates["ppl"] = perplexity(params, config, token_docs, seq_len,
@@ -279,17 +257,16 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_generate(cfg: RunConfig) -> int:
-    section = cfg.generate
-    _require(cfg, "generate", isinstance(section.get("prompt"), str),
+    plan = cfg.generate
+    _require(cfg, "generate", plan is not None and plan.prompt is not None,
              "generate.prompt is required")
     vocab = cfg.load_vocab()
     config, params, _ = load_model(_pick_checkpoint(cfg, "generate"))
     text = generate_text(
-        params, config, section["prompt"], vocab,
-        max_new=section.get("max_new", 64),
-        temperature=section.get("temperature", 0.0),
-        repetition_penalty=section.get("repetition_penalty", 1.1),
-        seed=cfg.seed, fp8=cfg.fp8)
+        params, config, plan.prompt, vocab, max_new=plan.max_new,
+        temperature=plan.temperature,
+        repetition_penalty=plan.repetition_penalty, seed=cfg.seed,
+        fp8=cfg.fp8)
     out = cfg.run_dir / "results" / "generation.txt"
     out.write_text(text, encoding="utf-8")
     print(text)

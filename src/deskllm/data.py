@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import POSITIVE, ConfigError, check, count, is_number
 from .tensor import IGNORE_INDEX
 
 
@@ -33,18 +33,13 @@ class DataStage:
     seq_len: int
 
     def __post_init__(self):
-        if not self.token_budget > 0:
-            raise ConfigError(f"token_budget must be positive, got {self.token_budget!r}")
-        if not isinstance(self.seq_len, int) or self.seq_len < 2:
-            raise ConfigError(f"seq_len must be an int >= 2, got {self.seq_len!r}")
-        if not self.mix:
-            raise ConfigError("mix must name at least one source")
-        for name, p in self.mix.items():
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"mix proportion for {name!r} must be in [0, 1], got {p}")
+        check(self, token_budget=POSITIVE, seq_len=count(2),
+              mix=(lambda m: isinstance(m, Mapping) and len(m) > 0
+                   and all(is_number(p) and 0 <= p <= 1 for p in m.values()),
+                   "a non-empty map from source to a proportion in [0, 1]"))
         total = sum(self.mix.values())
         if abs(total - 1.0) > 1e-9:
-            raise ConfigError(f"mix proportions must sum to 1, got {total}")
+            raise ConfigError(f"mix: proportions must sum to 1, got {total}")
 
 
 def curriculum_stages() -> list[DataStage]:

@@ -13,13 +13,13 @@ import warnings
 from dataclasses import dataclass, field
 from functools import reduce
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
 from .chat import (Conversation, END_MARKER, ROLE_MARKERS, Turn, _marker_ids,
                    render_chat)
-from .errors import ConfigError
+from .errors import PATH, POSITIVE, ConfigError, check, count, number
 from .model import LayerParams, LoraAdapter, ModelConfig, ModelParams, forward, linear
 from .optim import AdamW, OptimHyper, clip_grad_norm
 from .tensor import (IGNORE_INDEX, Tensor, add, cross_entropy, log_sigmoid, mul, neg,
@@ -186,10 +186,23 @@ class DpoStage:
 
     def __post_init__(self):
         object.__setattr__(self, "pairs", tuple(self.pairs))
-        if not self.lr > 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        check(self, lr=POSITIVE, epochs=count(1))
+
+
+@dataclass(frozen=True)
+class PreferenceStage:
+    """A DPO stage as a run config names it: a preference file and its lr.
+
+    `preferences` None stands for the run's `data.preferences` file.
+    """
+
+    inputs: ClassVar = ("preferences",)  # files that must exist at load time
+    preferences: str | None
+    lr: float
+    epochs: int = 1
+
+    def __post_init__(self):
+        check(self, preferences=PATH, lr=POSITIVE, epochs=count(1))
 
 
 def two_stage_plan(general_pairs: Sequence[PreferencePair],
@@ -202,20 +215,26 @@ def two_stage_plan(general_pairs: Sequence[PreferencePair],
 
 @dataclass(frozen=True)
 class DpoPlan:
+    """DPO settings.
+
+    `stages` and `init_checkpoint` say what the dpo command loads;
+    `dpo_train` takes the loaded `DpoStage`s as an argument instead.
+    """
+
     beta: float = 0.2
     rank: int = 4
     alpha: float = 16.0
     batch_size: int = 2
     hyper: OptimHyper = field(default_factory=lambda: OptimHyper(weight_decay=0.0))
     seed: int = 0
+    stages: tuple[PreferenceStage, ...] = (PreferenceStage(None, lr=1e-5),)
+    init_checkpoint: str | None = None
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ConfigError(f"beta must be positive, got {self.beta}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.rank < 1:
-            raise ConfigError(f"rank must be >= 1, got {self.rank}")
+        object.__setattr__(self, "stages", tuple(self.stages))
+        check(self, beta=POSITIVE, rank=count(1), alpha=number(lambda v: True, "a number"),
+              batch_size=count(1), init_checkpoint=PATH,
+              stages=(lambda v: len(v) > 0, "at least one stage"))
 
 
 def dpo_train(params: ModelParams, config: ModelConfig, stages: Sequence[DpoStage],

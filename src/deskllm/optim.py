@@ -13,6 +13,7 @@ from typing import Collection, Iterable
 
 import numpy as np
 
+from .errors import POSITIVE, check, number
 from .tensor import ShapeError, Tensor
 
 
@@ -29,14 +30,10 @@ class OptimHyper:
     clip_norm: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.beta1 < 1.0 or not 0.0 < self.beta2 < 1.0:
-            raise ValueError(f"betas must lie in (0, 1), got {self.beta1}, {self.beta2}")
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.weight_decay < 0.0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if not self.clip_norm > 0.0:
-            raise ValueError(f"clip_norm must be positive, got {self.clip_norm}")
+        beta = number(lambda v: 0 < v < 1, "a number in (0, 1)")
+        check(self, beta1=beta, beta2=beta, eps=POSITIVE,
+              weight_decay=number(lambda v: v >= 0, "a number >= 0"),
+              clip_norm=POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -47,13 +44,11 @@ class LrSchedule:
     min_lr: float = 1e-5
 
     def __post_init__(self):
-        if not 0.0 < self.min_lr <= self.peak_lr:
-            raise ValueError(
-                f"need 0 < min_lr <= peak_lr, got {self.min_lr}, {self.peak_lr}")
-        if not 0.0 < self.warmup_tokens < self.total_tokens:
-            raise ValueError(
-                f"need 0 < warmup_tokens < total_tokens, got "
-                f"{self.warmup_tokens}, {self.total_tokens}")
+        check(self, peak_lr=POSITIVE, total_tokens=POSITIVE)
+        check(self, min_lr=number(lambda v: 0 < v <= self.peak_lr,
+                                  f"0 < min_lr <= peak_lr ({self.peak_lr})"),
+              warmup_tokens=number(lambda v: 0 < v < self.total_tokens,
+                                   f"0 < warmup_tokens < total_tokens ({self.total_tokens})"))
 
 
 def cosine_lr(tokens_seen: float, schedule: LrSchedule) -> float:

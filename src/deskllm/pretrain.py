@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .data import DataStage, Document, pack_sequences, sample_mix
-from .errors import ConfigError
+from .errors import ConfigError, check, count
 from .model import ModelConfig, ModelParams, attention_mask, forward
 from .optim import AdamW, LrSchedule, OptimHyper, clip_grad_norm, cosine_lr
 from .tensor import Tensor, add, cross_entropy, mul, no_grad
@@ -46,12 +46,9 @@ class TrainPlan:
     val_batches: int = 2
 
     def __post_init__(self):
-        if not self.stages:
-            raise ConfigError("plan needs at least one stage")
-        if self.batch_sequences < 1:
-            raise ConfigError(f"batch_sequences must be >= 1, got {self.batch_sequences}")
-        if self.val_every is not None and self.val_every < 1:
-            raise ConfigError(f"val_every must be >= 1, got {self.val_every}")
+        check(self, stages=(lambda v: len(v) > 0, "at least one stage"),
+              batch_sequences=count(1), max_steps=count(nullable=True),
+              val_every=count(1, nullable=True), val_batches=count())
 
     @property
     def total_budget(self) -> float:

@@ -9,19 +9,26 @@ over its outputs.
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from deskllm.chat import Conversation, Turn, chat_vocab, save_conversations
+from deskllm.chat import (Conversation, SftPlan, Turn, chat_vocab,
+                          save_conversations)
 from deskllm.checkpoint import load_model
 from deskllm.cli import CliError, _pick_checkpoint, main
-from deskllm.data import Document, save_corpus
-from deskllm.dpo import save_preference_records
+from deskllm.data import DataStage, Document, save_corpus
+from deskllm.dpo import (DpoPlan, DpoStage, PreferenceStage,
+                         save_preference_records)
 from deskllm.model import ModelConfig, count_params, forward
-from deskllm.runconfig import RunConfig, RunConfigError, load_run_config
+from deskllm.optim import LrSchedule, OptimHyper
+from deskllm.pretrain import TrainPlan
+from deskllm.runconfig import (DataPaths, EvalPlan, GeneratePlan, RemapPlan,
+                               RunConfig, RunConfigError, load_run_config)
 from deskllm.tensor import no_grad
 from deskllm.tokenizer import Vocab, save_vocab
 
@@ -231,7 +238,7 @@ def test_future_checkpoints_do_not_block_validation(world, capsys):
         eval={"checkpoint": "future/checkpoints/sft.dkpt", "k_shot": 0,
               "seq_len": 32, "max_new": 4})
     cfg = load_run_config(config)
-    assert cfg.remap["checkpoint"] == "future/checkpoints/pretrain.dkpt"
+    assert cfg.remap.checkpoint == "future/checkpoints/pretrain.dkpt"
     assert main(["pretrain", "--config", str(config)]) == 0
     capsys.readouterr()
     # Use time still rejects a checkpoint that never appeared.
@@ -288,7 +295,8 @@ def test_checkpoint_chain_order(world, tmp_path):
     run_dir = tmp_path / "chain"
     (run_dir / "checkpoints").mkdir(parents=True)
     cfg = RunConfig(base_dir=world, run_dir=run_dir, seed=0, dtype="f64",
-                    fp8=False, model=ModelConfig(16, 32, 1, 2, 1, 263))
+                    fp8=False, model=ModelConfig(16, 32, 1, 2, 1, 263),
+                    data=DataPaths(vocab="vocab.txt"))
     for name in ("pretrain", "sft", "dpo"):
         (run_dir / "checkpoints" / f"{name}.dkpt").write_bytes(b"x")
     assert _pick_checkpoint(cfg, "eval").name == "dpo.dkpt"
@@ -301,11 +309,11 @@ def test_checkpoint_chain_order(world, tmp_path):
     (run_dir / "checkpoints" / "pretrain.dkpt").unlink()
     with pytest.raises(CliError):
         _pick_checkpoint(cfg, "eval")
-    explicit = dataclasses.replace(cfg, eval={"checkpoint": "ghost.dkpt"})
+    explicit = dataclasses.replace(cfg, eval=EvalPlan(checkpoint="ghost.dkpt"))
     with pytest.raises(CliError):
         _pick_checkpoint(explicit, "eval")
     (world / "real.dkpt").write_bytes(b"x")
-    explicit = dataclasses.replace(cfg, eval={"checkpoint": "real.dkpt"})
+    explicit = dataclasses.replace(cfg, eval=EvalPlan(checkpoint="real.dkpt"))
     assert _pick_checkpoint(explicit, "eval") == (world / "real.dkpt").resolve()
 
 
@@ -402,3 +410,152 @@ def test_dpo_language_filter_applied(pipeline):
     assert len(records) == 2
     assert all(r["stage"] == 0 for r in records)
     assert all(np.isfinite(r["train_loss"]) for r in records)
+
+
+# The keys each section accepted when sections were raw dicts checked
+# against hand-written key tuples. The loader now derives them from the
+# section dataclasses' fields; this pins that no option was added or lost.
+ACCEPTED_KEYS = {
+    "config": {"run_dir", "seed", "dtype", "fp8", "model", "data",
+               "pretrain", "sft", "dpo", "eval", "generate", "remap"},
+    "data": {"corpus", "val_corpus", "vocab", "merges", "bos_id", "eos_id",
+             "pad_id", "sft", "preferences", "tasks"},
+    "pretrain": {"stages", "warmup_tokens", "total_tokens", "peak_lr",
+                 "min_lr", "batch_sequences", "weight_decay", "clip_norm",
+                 "max_steps", "val_every", "val_batches"},
+    "pretrain.stages[0]": {"token_budget", "seq_len", "mix"},
+    "sft": {"lr", "batch_size", "epochs", "warmup_fraction",
+            "min_lr_fraction", "init_checkpoint"},
+    "dpo": {"beta", "rank", "alpha", "batch_size", "stages",
+            "init_checkpoint"},
+    "dpo.stages[0]": {"preferences", "lr", "epochs"},
+    "eval": {"checkpoint", "k_shot", "seq_len", "max_new"},
+    "generate": {"checkpoint", "prompt", "max_new", "temperature",
+                 "repetition_penalty"},
+    "remap": {"checkpoint", "new_vocab", "new_merges", "bos_id", "eos_id",
+              "pad_id", "seed"},
+}
+
+
+def test_section_keys_are_pinned(world):
+    """Every field of every config dataclass is offered to every section;
+    exactly the keys outside that section's pinned set are unknown."""
+    classes = (RunConfig, ModelConfig, DataPaths, TrainPlan, LrSchedule,
+               OptimHyper, DataStage, SftPlan, DpoPlan, PreferenceStage,
+               DpoStage, EvalPlan, GeneratePlan, RemapPlan)
+    offered = {"bogus"} | {f.name for cls in classes
+                           for f in dataclasses.fields(cls)}
+
+    def section(where):
+        return dict.fromkeys(offered | ACCEPTED_KEYS[where], 0)
+
+    doc = section("config")
+    doc.update(run_dir="keys", seed=0, dtype="f64", fp8=False,
+               model=_base_config("keys")["model"])
+    for name in ("data", "pretrain", "sft", "dpo", "eval", "generate",
+                 "remap"):
+        doc[name] = section(name)
+    doc["pretrain"]["stages"] = [section("pretrain.stages[0]")]
+    doc["dpo"]["stages"] = [section("dpo.stages[0]")]
+    path = world / "keys.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(RunConfigError) as exc:
+        load_run_config(path)
+    unknown: dict[str, set[str]] = {}
+    for line in exc.value.violations:
+        if line.endswith(": unknown key"):
+            where, key = line.removesuffix(": unknown key").rsplit(".", 1)
+            unknown.setdefault(where, set()).add(key)
+    assert unknown == {where: offered - keys
+                       for where, keys in ACCEPTED_KEYS.items()}
+
+
+def _set(doc, dotted, value):
+    *parents, key = dotted.split(".")
+    for part in parents:
+        doc = doc[part][0] if part == "stages" else doc[part]
+    doc[key] = value
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sft.batch_size", 2.0), ("sft.batch_size", True), ("sft.epochs", 1.0),
+    ("dpo.rank", 2.0), ("dpo.batch_size", 2.0), ("dpo.batch_size", False),
+    ("dpo.stages.epochs", 1.0), ("pretrain.batch_sequences", 2.0),
+    ("pretrain.max_steps", 3.0), ("pretrain.val_every", True),
+    ("pretrain.val_batches", 2.0), ("pretrain.stages.seq_len", 32.0),
+    ("eval.k_shot", 0.0), ("eval.max_new", 4.0), ("generate.max_new", 8.0),
+    ("remap.seed", 1.0), ("data.eos_id", 257.0),
+])
+def test_int_fields_reject_floats_and_bools(world, capsys, key, value):
+    doc = _base_config("intkeys")
+    doc["remap"] = {}
+    _set(doc, key, value)
+    path = world / "intkeys.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["pretrain", "--config", str(path)]) == 2
+    where = key.replace(".stages.", ".stages[0].")
+    assert re.search(rf"^  {re.escape(where)}: expected an int",
+                     capsys.readouterr().err, re.M)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_literals_rejected(world, capsys, literal):
+    path = world / "nonfinite.json"
+    text = json.dumps(_base_config("nonfinite"))
+    path.write_text(text.replace('"lr": 0.001', f'"lr": {literal}', 1),
+                    encoding="utf-8")
+    assert literal in path.read_text(encoding="utf-8")
+    assert main(["sft", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "invalid run config:"
+    assert len(err) == 2 and "config is not valid JSON" in err[1]
+
+
+def test_remap_null_seed_is_the_run_seed(world, pipeline):
+    tokens = [bytes([i]) for i in range(256)] + [b"quartz", b"yonder"]
+    save_vocab(Vocab(tokens), world / "nullseed_vocab.txt")
+    outputs = []
+    for name, extra in (("null_a", {"seed": None}), ("null_b", {"seed": None}),
+                        ("absent", {})):
+        config = _config_file(
+            world, f"remap_{name}",
+            remap={"checkpoint": "pipe/checkpoints/pretrain.dkpt",
+                   "new_vocab": "nullseed_vocab.txt", **extra})
+        assert main(["remap", "--config", str(config)]) == 0
+        outputs.append((world / f"remap_{name}" / "checkpoints"
+                        / "remap.dkpt").read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_dpo_without_stages_trains_on_data_preferences(world, pipeline):
+    """No dpo.stages means one stage on data.preferences at lr 1e-5."""
+    logs = []
+    for name, stages in (("fallback", None),
+                         ("explicit", [{"preferences": "prefs.jsonl",
+                                        "lr": 1e-5}])):
+        dpo = {"rank": 2, "batch_size": 2,
+               "init_checkpoint": "pipe/checkpoints/sft.dkpt"}
+        if stages is not None:
+            dpo["stages"] = stages
+        config = _config_file(world, f"dpo_{name}", dpo=dpo)
+        assert main(["dpo", "--config", str(config)]) == 0
+        logs.append((world / f"dpo_{name}" / "logs"
+                     / "dpo.jsonl").read_bytes())
+    assert logs[0] and logs[0] == logs[1]
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1]
+              / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"A complete config.*?```json\n(.*?)```", readme, re.S)
+    doc = json.loads(block.group(1))
+    named = [v for k, v in doc["data"].items() if not k.endswith("_id")]
+    named += [stage["preferences"] for stage in doc["dpo"].get("stages", ())]
+    for name in named:
+        (tmp_path / name).touch()
+    path = tmp_path / "run.json"
+    path.write_text(block.group(1), encoding="utf-8")
+    cfg = load_run_config(path)
+    assert cfg.run_dir == (tmp_path / doc["run_dir"]).resolve()
+    assert cfg.sft.lr == doc["sft"]["lr"]
+    assert cfg.generate.prompt == doc["generate"]["prompt"]
