@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import PATH, POSITIVE, check, count, number
 from .model import ModelConfig, ModelParams
-from .optim import AdamW, LrSchedule, OptimHyper, clip_grad_norm, cosine_lr
-from .pretrain import batch_loss, no_decay_names
+from .optim import AdamW, LrSchedule, OptimHyper, cosine_lr
+from .pretrain import batch_loss, log_step, no_decay_names, optimize
 from .tensor import IGNORE_INDEX, Tensor
 from .tokenizer import Vocab, encode
 
@@ -161,10 +161,8 @@ def run_sft(params: ModelParams, config: ModelConfig,
         peak_lr=plan.lr,
         min_lr=plan.lr * plan.min_lr_fraction)
     opt = AdamW(params.named_tensors(), plan.hyper, no_decay=no_decay_names(params))
-    log_file = Path(log_path) if log_path is not None else None
     records: list[dict] = []
     tokens_seen = 0
-    step = 0
     for epoch in range(plan.epochs):
         rng = np.random.default_rng(plan.seed + epoch)
         order = rng.permutation(len(examples))
@@ -174,19 +172,10 @@ def run_sft(params: ModelParams, config: ModelConfig,
             tokens_seen += sum(len(x) for x, _ in batch)
             if loss is None:
                 continue
-            opt.zero_grad()
-            loss.backward()
-            clip_grad_norm(opt.grads(), plan.hyper.clip_norm)
             lr = cosine_lr(min(tokens_seen, total_tokens), schedule)
-            opt.step(lr)
-            opt.zero_grad()
-            step += 1
-            record = {"step": step, "tokens_seen": tokens_seen, "lr": lr,
-                      "train_loss": float(loss.item())}
-            records.append(record)
-            if log_file is not None:
-                with log_file.open("a", encoding="utf-8") as f:
-                    f.write(json.dumps(record) + "\n")
+            train_loss = optimize(loss, opt, lr)
+            log_step(records, {"step": opt.step_count, "tokens_seen": tokens_seen,
+                               "lr": lr, "train_loss": train_loss}, log_path)
     return records
 
 

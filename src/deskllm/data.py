@@ -68,8 +68,9 @@ def web_share_stages() -> list[DataStage]:
             for budget, share in shares]
 
 
-def curriculum_schedule(tokens_seen: float, stages: Sequence[DataStage]) -> DataStage:
-    """Stage whose half-open cumulative interval [start, end) holds tokens_seen.
+def stage_index(tokens_seen: float, stages: Sequence[DataStage]) -> int:
+    """Index of the stage whose half-open cumulative interval [start, end)
+    holds tokens_seen.
 
     Past the final budget the last stage stays active.
     """
@@ -77,13 +78,17 @@ def curriculum_schedule(tokens_seen: float, stages: Sequence[DataStage]) -> Data
         raise ValueError("stages must be nonempty")
     if tokens_seen < 0:
         raise ValueError(f"tokens_seen must be >= 0, got {tokens_seen}")
-    start = 0.0
-    for stage in stages:
-        end = start + stage.token_budget
+    end = 0.0
+    for i, stage in enumerate(stages):
+        end += stage.token_budget
         if tokens_seen < end:
-            return stage
-        start = end
-    return stages[-1]
+            return i
+    return len(stages) - 1
+
+
+def curriculum_schedule(tokens_seen: float, stages: Sequence[DataStage]) -> DataStage:
+    """The stage `stage_index` picks."""
+    return stages[stage_index(tokens_seen, stages)]
 
 
 # ---------------------------------------------------------------------------

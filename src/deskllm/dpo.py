@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
 from pathlib import Path
@@ -20,8 +21,9 @@ import numpy as np
 from .chat import (Conversation, END_MARKER, ROLE_MARKERS, Turn, _marker_ids,
                    render_chat)
 from .errors import PATH, POSITIVE, ConfigError, check, count, number
-from .model import LayerParams, LoraAdapter, ModelConfig, ModelParams, forward, linear
-from .optim import AdamW, OptimHyper, clip_grad_norm
+from .model import LayerParams, LoraAdapter, ModelConfig, ModelParams, forward
+from .optim import AdamW, OptimHyper
+from .pretrain import log_step, optimize
 from .tensor import (IGNORE_INDEX, Tensor, add, cross_entropy, log_sigmoid, mul, neg,
                      no_grad)
 from .tokenizer import Vocab, encode
@@ -51,11 +53,6 @@ def init_lora_adapters(params: ModelParams, rank: int = 4, alpha: float = 16.0,
         adapters[name] = LoraAdapter(a=Tensor(a, requires_grad=True),
                                      b=Tensor(b, requires_grad=True), alpha=alpha)
     return adapters
-
-
-def lora_forward(x: Tensor, w: Tensor, adapter: LoraAdapter) -> Tensor:
-    """Base linear plus the scaled low-rank delta."""
-    return linear(x, w, adapter=adapter)
 
 
 def lora_merge(params: ModelParams, adapters: dict[str, LoraAdapter]) -> ModelParams:
@@ -237,6 +234,19 @@ class DpoPlan:
               stages=(lambda v: len(v) > 0, "at least one stage"))
 
 
+@contextmanager
+def frozen(tensors: Iterable[Tensor]):
+    """Turn requires_grad off on `tensors` inside the block, then restore it."""
+    saved = [(t, t.requires_grad) for t in tensors]
+    for t, _ in saved:
+        t.requires_grad = False
+    try:
+        yield
+    finally:
+        for t, flag in saved:
+            t.requires_grad = flag
+
+
 def dpo_train(params: ModelParams, config: ModelConfig, stages: Sequence[DpoStage],
               vocab: Vocab, plan: DpoPlan | None = None, log_path=None,
               adapters: dict[str, LoraAdapter] | None = None
@@ -255,53 +265,38 @@ def dpo_train(params: ModelParams, config: ModelConfig, stages: Sequence[DpoStag
         trainable[f"{name}.lora_a"] = adapter.a
         trainable[f"{name}.lora_b"] = adapter.b
     opt = AdamW(trainable, plan.hyper)
-    log_file = Path(log_path) if log_path is not None else None
     records: list[dict] = []
-    step = 0
-    for stage_idx, stage in enumerate(stages):
-        rendered = [render_pair(pair, vocab) for pair in stage.pairs]
-        for prompt_ids, chosen, rejected in rendered:
-            for resp in (chosen, rejected):
-                if prompt_ids.size + resp.size > config.max_context:
-                    raise ValueError("rendered pair exceeds model context")
-        ref_cache = []
-        with no_grad():
+    with frozen(params.named_tensors().values()):
+        for stage_idx, stage in enumerate(stages):
+            rendered = [render_pair(pair, vocab) for pair in stage.pairs]
             for prompt_ids, chosen, rejected in rendered:
-                ref_c = float(sequence_logprob(params, config, prompt_ids, chosen).item())
-                ref_r = float(sequence_logprob(params, config, prompt_ids, rejected).item())
-                ref_cache.append((ref_c, ref_r))
-        if not rendered:
-            warnings.warn(f"stage {stage_idx} has no pairs", RuntimeWarning)
-            continue
-        for epoch in range(stage.epochs):
-            rng = np.random.default_rng(plan.seed + 104729 * stage_idx + epoch)
-            order = rng.permutation(len(rendered))
-            for lo in range(0, len(order), plan.batch_size):
-                idx = order[lo:lo + plan.batch_size]
-                plc, plr, rlc, rlr = [], [], [], []
-                for i in idx:
-                    prompt_ids, chosen, rejected = rendered[i]
-                    plc.append(sequence_logprob(params, config, prompt_ids, chosen,
-                                                adapters=adapters))
-                    plr.append(sequence_logprob(params, config, prompt_ids, rejected,
-                                                adapters=adapters))
-                    rlc.append(ref_cache[i][0])
-                    rlr.append(ref_cache[i][1])
-                loss = dpo_loss(plc, plr, rlc, rlr, beta=plan.beta)
-                opt.zero_grad()
-                loss.backward()
-                clip_grad_norm(opt.grads(), plan.hyper.clip_norm)
-                opt.step(stage.lr)
-                opt.zero_grad()
-                for t in params.named_tensors().values():
-                    t.zero_grad()  # base weights are frozen; drop their grads
-                step += 1
-                record = {"step": step, "stage": stage_idx, "lr": stage.lr,
-                          "train_loss": float(loss.item())}
-                records.append(record)
-                if log_file is not None:
-                    with log_file.open("a", encoding="utf-8") as f:
-                        f.write(json.dumps(record) + "\n")
+                if prompt_ids.size + max(chosen.size, rejected.size) > config.max_context:
+                    raise ValueError("rendered pair exceeds model context")
+            if not rendered:
+                warnings.warn(f"stage {stage_idx} has no pairs", RuntimeWarning)
+                continue
+            with no_grad():
+                ref_cache = [tuple(float(sequence_logprob(params, config, prompt_ids,
+                                                          resp).item())
+                                   for resp in (chosen, rejected))
+                             for prompt_ids, chosen, rejected in rendered]
+            for epoch in range(stage.epochs):
+                rng = np.random.default_rng(plan.seed + 104729 * stage_idx + epoch)
+                order = rng.permutation(len(rendered))
+                for lo in range(0, len(order), plan.batch_size):
+                    plc, plr, rlc, rlr = [], [], [], []
+                    for i in order[lo:lo + plan.batch_size]:
+                        prompt_ids, chosen, rejected = rendered[i]
+                        plc.append(sequence_logprob(params, config, prompt_ids, chosen,
+                                                    adapters=adapters))
+                        plr.append(sequence_logprob(params, config, prompt_ids, rejected,
+                                                    adapters=adapters))
+                        rlc.append(ref_cache[i][0])
+                        rlr.append(ref_cache[i][1])
+                    loss = dpo_loss(plc, plr, rlc, rlr, beta=plan.beta)
+                    train_loss = optimize(loss, opt, stage.lr)
+                    log_step(records, {"step": opt.step_count, "stage": stage_idx,
+                                       "lr": stage.lr, "train_loss": train_loss}, log_path)
     return adapters, records
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError
+from .errors import POSITIVE, ConfigError, check, count
 from .fp8 import fp8_emulate
 from .tensor import DTYPES, MASK_NEG, ShapeError, Tensor
 
@@ -43,11 +43,10 @@ class ModelConfig:
     init_std: float = 0.02
 
     def __post_init__(self):
-        for name in ("hidden_size", "intermediate_size", "n_layers", "n_heads",
-                     "n_kv_heads", "vocab_size", "max_context"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value <= 0:
-                raise ConfigError(f"{name} must be a positive int, got {value!r}")
+        sizes = ("hidden_size", "intermediate_size", "n_layers", "n_heads", "n_kv_heads",
+                 "vocab_size", "max_context")
+        check(self, **dict.fromkeys(sizes, count(1)), sliding_window=count(1, nullable=True),
+              rope_theta=POSITIVE, norm_eps=POSITIVE, init_std=POSITIVE)
         if self.n_heads % self.n_kv_heads != 0:
             raise ConfigError(
                 f"n_heads ({self.n_heads}) must be a multiple of n_kv_heads ({self.n_kv_heads})")
@@ -56,19 +55,9 @@ class ModelConfig:
                 f"hidden_size ({self.hidden_size}) must be divisible by n_heads ({self.n_heads})")
         if self.head_dim % 2 != 0:
             raise ConfigError(f"head_dim must be even for rotary embeddings, got {self.head_dim}")
-        if self.sliding_window is not None:
-            window = self.sliding_window
-            if not isinstance(window, int) or window <= 0:
-                raise ConfigError(f"sliding_window must be a positive int, got {window!r}")
-            if window > self.max_context:
-                raise ConfigError(
-                    f"sliding_window ({window}) cannot exceed max_context ({self.max_context})")
-        if not self.rope_theta > 0:
-            raise ConfigError(f"rope_theta must be positive, got {self.rope_theta!r}")
-        if not self.norm_eps > 0:
-            raise ConfigError(f"norm_eps must be positive, got {self.norm_eps!r}")
-        if not self.init_std > 0:
-            raise ConfigError(f"init_std must be positive, got {self.init_std!r}")
+        if self.sliding_window is not None and self.sliding_window > self.max_context:
+            raise ConfigError(f"sliding_window ({self.sliding_window}) cannot exceed "
+                              f"max_context ({self.max_context})")
         if self.use_bias:
             raise ConfigError("biased linear layers are not supported")
 

@@ -1,4 +1,5 @@
-"""Staged pretraining loop: curriculum, cosine LR, clipping, JSONL logs.
+"""Staged pretraining loop, and the optimizer step and step log that
+pretraining, SFT and DPO share.
 
 The learning-rate schedule is evaluated after counting the current
 batch into tokens_seen, so the first logged lr is peak * batch/warmup
@@ -9,6 +10,7 @@ length) is decided from tokens_seen before each batch is drawn.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
@@ -16,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import DataStage, Document, pack_sequences, sample_mix
+from .data import DataStage, Document, pack_sequences, sample_mix, stage_index
 from .errors import ConfigError, check, count
 from .model import ModelConfig, ModelParams, attention_mask, forward
 from .optim import AdamW, LrSchedule, OptimHyper, clip_grad_norm, cosine_lr
@@ -26,6 +28,35 @@ from .tokenizer import Vocab, encode
 
 class TrainingDiverged(RuntimeError):
     """Loss became non-finite; the run was aborted."""
+
+
+def optimize(loss: Tensor, opt: AdamW, lr: float) -> float:
+    """One optimizer step on `loss`; returns the loss value.
+
+    A non-finite loss raises TrainingDiverged before any gradient or
+    weight changes. Otherwise: backward, global-norm clipping to the
+    optimizer's clip_norm, and an AdamW step at `lr`. Gradients are
+    cleared afterwards, also when clipping finds a non-finite norm.
+    """
+    value = float(loss.item())
+    if not math.isfinite(value):
+        raise TrainingDiverged(f"step {opt.step_count}: loss is {value}")
+    loss.backward()
+    try:
+        clip_grad_norm(opt.grads(), opt.hyper.clip_norm)
+        opt.step(lr)
+    finally:
+        opt.zero_grad()
+    return value
+
+
+def log_step(records: list[dict], record: dict, path) -> None:
+    """Append `record` to `records` and, when `path` is set, as a JSON
+    line to that file."""
+    records.append(record)
+    if path is not None:
+        with Path(path).open("a", encoding="utf-8") as f:
+            f.write(json.dumps(record) + "\n")
 
 
 def no_decay_names(params: ModelParams) -> set[str]:
@@ -47,8 +78,8 @@ class TrainPlan:
 
     def __post_init__(self):
         check(self, stages=(lambda v: len(v) > 0, "at least one stage"),
-              batch_sequences=count(1), max_steps=count(nullable=True),
-              val_every=count(1, nullable=True), val_batches=count())
+              batch_sequences=count(1), max_steps=count(1, nullable=True),
+              val_every=count(1, nullable=True), val_batches=count(1))
 
     @property
     def total_budget(self) -> float:
@@ -118,7 +149,7 @@ class Trainer:
         self.sources = sources
         self.vocab = vocab
         self.val_sources = val_sources
-        self.log_path = Path(log_path) if log_path is not None else None
+        self.log_path = log_path
         self.opt = AdamW(params.named_tensors(), plan.hyper,
                          no_decay=no_decay_names(params))
         self.tokens_seen = 0
@@ -152,16 +183,6 @@ class Trainer:
             n = self.plan.val_batches * self.plan.batch_sequences
             self._val_set = [next(val_stream) for _ in range(n)]
 
-    def _current_stage(self) -> tuple[int, DataStage]:
-        stages = self.plan.stages
-        start = 0.0
-        for i, stage in enumerate(stages):
-            end = start + stage.token_budget
-            if self.tokens_seen < end:
-                return i, stage
-            start = end
-        return len(stages) - 1, stages[-1]
-
     def _val_loss(self) -> float | None:
         if not self._val_set:
             return None
@@ -173,28 +194,18 @@ class Trainer:
 
     def train_step(self, batch, seq_len: int) -> dict:
         """One optimization step on an explicit batch; returns the log record."""
-        self.opt.zero_grad()
         loss = batch_loss(self.params, self.config, batch, fp8=self.plan.fp8,
                           mask=self._mask(seq_len))
-        train_loss = float(loss.item())
-        if not np.isfinite(train_loss):
-            raise TrainingDiverged(f"step {self.step}: loss is {train_loss}")
-        loss.backward()
-        clip_grad_norm(self.opt.grads(), self.plan.hyper.clip_norm)
-        self.tokens_seen += sum(len(window) for window, _ in batch)
-        lr = cosine_lr(self.tokens_seen, self.plan.schedule)
-        self.opt.step(lr)
-        self.opt.zero_grad()
+        tokens = sum(len(window) for window, _ in batch)
+        lr = cosine_lr(self.tokens_seen + tokens, self.plan.schedule)
+        train_loss = optimize(loss, self.opt, lr)
+        self.tokens_seen += tokens
         self.step += 1
-        record = {"step": self.step, "tokens_seen": self.tokens_seen, "lr": lr,
-                  "seq_len": seq_len, "train_loss": train_loss}
-        return record
+        return {"step": self.step, "tokens_seen": self.tokens_seen, "lr": lr,
+                "seq_len": seq_len, "train_loss": train_loss}
 
     def _emit(self, record: dict) -> None:
-        self.records.append(record)
-        if self.log_path is not None:
-            with self.log_path.open("a", encoding="utf-8") as f:
-                f.write(json.dumps(record) + "\n")
+        log_step(self.records, record, self.log_path)
 
     def run(self, max_steps: int | None = None) -> list[dict]:
         """Train until the total token budget (or a step cap) is reached."""
@@ -202,7 +213,8 @@ class Trainer:
         while self.tokens_seen < self.plan.total_budget:
             if cap is not None and self.step >= cap:
                 break
-            index, stage = self._current_stage()
+            index = stage_index(self.tokens_seen, self.plan.stages)
+            stage = self.plan.stages[index]
             if index != self._stage_index:
                 self._enter_stage(index, stage)
             batch = [next(self._stream) for _ in range(self.plan.batch_sequences)]

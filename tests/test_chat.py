@@ -7,7 +7,9 @@ import pytest
 
 from deskllm.chat import (Conversation, SftPlan, Turn, chat_vocab, load_conversations,
                           render_chat, run_sft, save_conversations, sft_example, sft_loss)
+from deskllm import chat as chat_module
 from deskllm.model import forward
+from deskllm.pretrain import TrainingDiverged
 from deskllm.tensor import IGNORE_INDEX, cross_entropy, no_grad
 from deskllm.tokenizer import byte_fallback_vocab, encode
 
@@ -271,6 +273,29 @@ class TestRunSft:
         convs = [conv(("user", "a" * 50), ("assistant", "b"))]
         with pytest.raises(ValueError):
             run_sft(params, cfg, convs, CHAT_VOCAB, SftPlan())
+
+    def test_nonfinite_loss_stops_before_any_change(self, monkeypatch):
+        made = []
+
+        class SpyAdamW(chat_module.AdamW):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(chat_module, "AdamW", SpyAdamW)
+        cfg, params = tiny_model(seed=17, vocab_size=len(CHAT_VOCAB), max_context=64)
+        params.token_embedding.data[:] = np.nan
+        named = params.named_tensors()
+        before = {n: t.data.copy() for n, t in named.items()}
+        with pytest.raises(TrainingDiverged):
+            run_sft(params, cfg, training_conversations(), CHAT_VOCAB, SftPlan(lr=1e-2))
+        for name, t in named.items():
+            assert np.array_equal(t.data, before[name], equal_nan=True)
+            assert t.grad is None
+        (opt,) = made
+        assert opt.step_count == 0
+        assert not any(m.any() for m in opt.m.values())
+        assert not any(v.any() for v in opt.v.values())
 
     def test_lr_follows_cosine_schedule(self):
         cfg, params = tiny_model(seed=16, vocab_size=len(CHAT_VOCAB), max_context=64)

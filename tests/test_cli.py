@@ -498,6 +498,28 @@ def test_int_fields_reject_floats_and_bools(world, capsys, key, value):
                      capsys.readouterr().err, re.M)
 
 
+@pytest.mark.parametrize("key, value, expected", [
+    ("model.rope_theta", "x", "a positive number"),
+    ("model.norm_eps", 0, "a positive number"),
+    ("model.init_std", [], "a positive number"),
+    ("model.n_layers", 0, "an int >= 1"),
+    ("model.sliding_window", 0, "an int >= 1 or null"),
+    ("pretrain.max_steps", -3, "an int >= 1 or null"),
+    ("pretrain.max_steps", 0, "an int >= 1 or null"),
+    ("pretrain.val_batches", 0, "an int >= 1"),
+])
+def test_out_of_range_fields_rejected(world, capsys, key, value, expected):
+    doc = _base_config("ranges")
+    _set(doc, key, value)
+    path = world / "ranges.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["pretrain", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["invalid run config:",
+                   f"  {key}: expected {expected}, got {value!r}"]
+    assert not (world / "ranges").exists()
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_json_literals_rejected(world, capsys, literal):
     path = world / "nonfinite.json"

@@ -10,10 +10,12 @@ import pytest
 from deskllm.chat import Conversation, Turn, chat_vocab
 from deskllm.dpo import (DpoPlan, DpoStage, PreferencePair, build_preference_pairs,
                          dpo_loss, dpo_train, init_lora_adapters, load_preference_records,
-                         lora_forward, lora_merge, render_pair, save_preference_records,
+                         lora_merge, render_pair, save_preference_records,
                          sequence_logprob, two_stage_plan)
+from deskllm import dpo as dpo_module
 from deskllm.errors import ConfigError
 from deskllm.model import forward, linear
+from deskllm.pretrain import TrainingDiverged
 from deskllm.tensor import Tensor, no_grad
 
 from modelutil import tiny_model
@@ -181,7 +183,7 @@ class TestLoraAdapters:
         w = params.layers[0].wq
         with no_grad():
             base = linear(x, w).data
-            adapted = lora_forward(x, w, adapters["layers.0.attn.wq"]).data
+            adapted = linear(x, w, adapter=adapters["layers.0.attn.wq"]).data
         assert np.array_equal(base, adapted)
 
     def test_zero_b_merge_equals_base(self):
@@ -346,6 +348,52 @@ class TestDpoTrain:
         dpo_train(params, cfg, stages, CHAT_VOCAB, DpoPlan(seed=2))
         for name, t in params.named_tensors().items():
             assert t.data.tobytes() == before[name].data.tobytes()
+
+    def test_nonfinite_loss_stops_before_any_change(self, monkeypatch):
+        made = []
+
+        class SpyAdamW(dpo_module.AdamW):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(dpo_module, "AdamW", SpyAdamW)
+        cfg, params = self.make_model(seed=29)
+        params.layers[0].w_up.data[0, 0] = np.nan
+        adapters = init_lora_adapters(params, seed=6)
+        before = {name: (ad.a.data.copy(), ad.b.data.copy())
+                  for name, ad in adapters.items()}
+        base = {n: t.data.copy() for n, t in params.named_tensors().items()}
+        with pytest.raises(TrainingDiverged):
+            dpo_train(params, cfg, [DpoStage(toy_pairs(), lr=1e-2)], CHAT_VOCAB,
+                      DpoPlan(seed=6), adapters=adapters)
+        for name, ad in adapters.items():
+            assert ad.a.data.tobytes() == before[name][0].tobytes()
+            assert ad.b.data.tobytes() == before[name][1].tobytes()
+            assert ad.a.grad is None and ad.b.grad is None
+        for name, t in params.named_tensors().items():
+            assert t.data.tobytes() == base[name].tobytes()
+        (opt,) = made
+        assert opt.step_count == 0
+        assert not any(m.any() for m in opt.m.values())
+        assert not any(v.any() for v in opt.v.values())
+
+    @pytest.mark.parametrize("poison", [False, True])
+    def test_base_requires_grad_restored_and_no_base_grads(self, poison):
+        cfg, params = self.make_model(seed=30)
+        named = params.named_tensors()
+        named["final_norm"].requires_grad = False
+        flags = {n: t.requires_grad for n, t in named.items()}
+        if poison:
+            params.lm_head.data[:, 0] = np.nan
+        stages = [DpoStage(toy_pairs(), lr=1e-3, epochs=2)]
+        if poison:
+            with pytest.raises(TrainingDiverged):
+                dpo_train(params, cfg, stages, CHAT_VOCAB, DpoPlan(seed=7))
+        else:
+            dpo_train(params, cfg, stages, CHAT_VOCAB, DpoPlan(seed=7))
+        assert {n: t.requires_grad for n, t in named.items()} == flags
+        assert all(t.grad is None for t in named.values())
 
     def test_rerun_is_deterministic(self):
         stages_lr = 1e-3

@@ -11,7 +11,7 @@ import pytest
 
 from deskllm.data import DataStage, Document
 from deskllm.errors import ConfigError
-from deskllm.optim import LrSchedule, OptimHyper
+from deskllm.optim import AdamW, LrSchedule, NonFiniteGradError, OptimHyper
 from deskllm.pretrain import (
     TrainPlan,
     Trainer,
@@ -19,10 +19,11 @@ from deskllm.pretrain import (
     batch_grads,
     batch_loss,
     no_decay_names,
+    optimize,
     shard_gradient_gap,
 )
 from deskllm.tokenizer import byte_fallback_vocab, encode
-from deskllm.tensor import IGNORE_INDEX
+from deskllm.tensor import IGNORE_INDEX, Tensor, mul, tsum
 
 from modelutil import tiny_model
 
@@ -94,8 +95,15 @@ class TestTrainStep:
     def test_nonfinite_loss_aborts_with_diagnostic(self):
         trainer, cfg, params = make_trainer()
         params.token_embedding.data[: ] = np.nan
-        with pytest.raises(TrainingDiverged):
+        named = params.named_tensors()
+        before = {n: t.data.copy() for n, t in named.items()}
+        with pytest.raises(TrainingDiverged, match="step 0: loss is nan"):
             trainer.train_step(fixed_batch(cfg), seq_len=8)
+        assert (trainer.step, trainer.tokens_seen, trainer.opt.step_count) == (0, 0, 0)
+        for name, t in named.items():
+            assert np.array_equal(t.data, before[name], equal_nan=True)
+            assert t.grad is None
+            assert not trainer.opt.m[name].any() and not trainer.opt.v[name].any()
 
     def test_fp8_step_runs_and_is_finite(self):
         trainer, cfg, _ = make_trainer(fp8=True)
@@ -103,6 +111,31 @@ class TestTrainStep:
         for _ in range(3):
             record = trainer.train_step(batch, seq_len=8)
             assert np.isfinite(record["train_loss"])
+
+
+class TestOptimize:
+    def scalar_param(self, value):
+        p = Tensor(np.array([value]), requires_grad=True)
+        return p, AdamW({"p": p}, OptimHyper(weight_decay=0.0))
+
+    def test_step_returns_loss_and_clears_grads(self):
+        p, opt = self.scalar_param(2.0)
+        assert optimize(tsum(mul(p, 3.0)), opt, lr=0.1) == 6.0
+        assert p.grad is None and opt.step_count == 1
+        assert p.data[0] == pytest.approx(1.9, abs=1e-8)  # clipped to norm 1
+
+    def test_nonfinite_loss_changes_nothing(self):
+        p, opt = self.scalar_param(2.0)
+        with pytest.raises(TrainingDiverged):
+            optimize(tsum(mul(p, np.inf)), opt, lr=0.1)
+        assert p.grad is None and opt.step_count == 0 and p.data[0] == 2.0
+        assert opt.m["p"][0] == 0.0 and opt.v["p"][0] == 0.0
+
+    def test_nonfinite_gradient_norm_clears_grads(self):
+        p, opt = self.scalar_param(1.0)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteGradError):
+            optimize(tsum(mul(p, 1e308)), opt, lr=0.1)
+        assert p.grad is None and opt.step_count == 0 and p.data[0] == 1.0
 
 
 class TestRunLoop:
@@ -220,6 +253,9 @@ class TestWiring:
             TrainPlan(stages=[stage()], schedule=sched, batch_sequences=0)
         with pytest.raises(ConfigError):
             TrainPlan(stages=[stage()], schedule=sched, val_every=0)
+        for kwargs in ({"max_steps": 0}, {"max_steps": -3}, {"val_batches": 0}):
+            with pytest.raises(ConfigError, match=f"^{next(iter(kwargs))}: expected an int >= 1"):
+                TrainPlan(stages=[stage()], schedule=sched, **kwargs)
 
     def test_batch_loss_matches_manual_mean(self):
         cfg, params = tiny_model(seed=4, vocab_size=64)
