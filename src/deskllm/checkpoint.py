@@ -27,13 +27,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import LayerParams, ModelConfig, ModelParams, count_params
+from .model import ModelConfig, ModelParams, count_params
 from .optim import AdamW
 from .tensor import Tensor
 
 MAGIC = b"DKPT"
 VERSION = 1
 _ALLOWED_DTYPES = ("<f4", "<f8")
+# Config fields that older headers carry; they load only while false.
+_LEGACY_FALSE_KEYS = ("tie_embeddings", "use_bias")
 
 
 class CheckpointError(RuntimeError):
@@ -101,8 +103,11 @@ def load_checkpoint(path) -> Checkpoint:
         arr = np.frombuffer(payload, dtype=dt, count=e["nbytes"] // dt.itemsize,
                             offset=e["offset"]).reshape(e["shape"]).copy()
         tensors[e["name"]] = arr
-    config = ModelConfig(**header["config"])
-    return Checkpoint(version, config, tensors, header.get("extra", {}))
+    fields = header["config"]
+    for key in _LEGACY_FALSE_KEYS:
+        if fields.pop(key, False) is not False:
+            raise CheckpointError(f"{path}: config.{key} is not supported")
+    return Checkpoint(version, ModelConfig(**fields), tensors, header.get("extra", {}))
 
 
 # ---------------------------------------------------------------------------
@@ -129,16 +134,7 @@ def build_params(ckpt: Checkpoint) -> ModelParams:
             raise CheckpointError(f"checkpoint is missing tensor {name!r}")
         return Tensor(ckpt.tensors[name].copy(), requires_grad=True)
 
-    layers = [LayerParams(wq=grab(f"layers.{i}.attn.wq"), wk=grab(f"layers.{i}.attn.wk"),
-                          wv=grab(f"layers.{i}.attn.wv"), wo=grab(f"layers.{i}.attn.wo"),
-                          w_gate=grab(f"layers.{i}.mlp.w_gate"),
-                          w_up=grab(f"layers.{i}.mlp.w_up"),
-                          w_down=grab(f"layers.{i}.mlp.w_down"),
-                          norm_attn=grab(f"layers.{i}.norm_attn"),
-                          norm_mlp=grab(f"layers.{i}.norm_mlp"))
-              for i in range(ckpt.config.n_layers)]
-    return ModelParams(token_embedding=grab("token_embedding"), layers=layers,
-                       final_norm=grab("final_norm"), lm_head=grab("lm_head"))
+    return ModelParams.build(ckpt.config.n_layers, grab)
 
 
 def load_model(path) -> tuple[ModelConfig, ModelParams, dict]:

@@ -21,7 +21,7 @@ import numpy as np
 from .chat import (Conversation, END_MARKER, ROLE_MARKERS, Turn, _marker_ids,
                    render_chat)
 from .errors import PATH, POSITIVE, ConfigError, check, count, number
-from .model import LayerParams, LoraAdapter, ModelConfig, ModelParams, forward
+from .model import LoraAdapter, ModelConfig, ModelParams, forward
 from .optim import AdamW, OptimHyper
 from .pretrain import log_step, optimize
 from .tensor import (IGNORE_INDEX, Tensor, add, cross_entropy, log_sigmoid, mul, neg,
@@ -73,16 +73,7 @@ def lora_merge(params: ModelParams, adapters: dict[str, LoraAdapter]) -> ModelPa
                                  @ adapter.b.data.astype(np.float64))
         return Tensor((base.astype(np.float64) + delta).astype(base.dtype))
 
-    layers = [LayerParams(wq=fold(f"layers.{i}.attn.wq"), wk=fold(f"layers.{i}.attn.wk"),
-                          wv=fold(f"layers.{i}.attn.wv"), wo=fold(f"layers.{i}.attn.wo"),
-                          w_gate=fold(f"layers.{i}.mlp.w_gate"),
-                          w_up=fold(f"layers.{i}.mlp.w_up"),
-                          w_down=fold(f"layers.{i}.mlp.w_down"),
-                          norm_attn=fold(f"layers.{i}.norm_attn"),
-                          norm_mlp=fold(f"layers.{i}.norm_mlp"))
-              for i in range(len(params.layers))]
-    return ModelParams(token_embedding=fold("token_embedding"), layers=layers,
-                       final_norm=fold("final_norm"), lm_head=fold("lm_head"))
+    return ModelParams.build(len(params.layers), fold)
 
 
 def _scalar_list(x) -> list:

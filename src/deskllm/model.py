@@ -3,7 +3,9 @@
 One code path instantiates both the reference 1.8B shape and tiny test
 shapes: untied embeddings, RMSNorm, rotary position embeddings, optional
 sliding-window causal masking, grouped-query attention, and a gated
-(silu) MLP. No biases and no dropout anywhere.
+(silu) MLP. No biases and no dropout anywhere; neither is configurable.
+Only this module knows the parameter layout: `LAYER_KEYS`, `param_shapes`
+and `ModelParams.build`, which makes tensors in `named_tensors` order.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ class ModelConfig:
     sliding_window: int | None = None
     rope_theta: float = 10000.0
     norm_eps: float = 1e-5
-    tie_embeddings: bool = False
-    use_bias: bool = False
     init_std: float = 0.02
 
     def __post_init__(self):
@@ -58,8 +58,6 @@ class ModelConfig:
         if self.sliding_window is not None and self.sliding_window > self.max_context:
             raise ConfigError(f"sliding_window ({self.sliding_window}) cannot exceed "
                               f"max_context ({self.max_context})")
-        if self.use_bias:
-            raise ConfigError("biased linear layers are not supported")
 
     @property
     def head_dim(self) -> int:
@@ -88,6 +86,11 @@ def config_1p8b_v2(vocab_size: int = 32000) -> ModelConfig:
                        max_context=8192, sliding_window=None)
 
 
+# Block tensor names after "layers.<i>."; the last dotted part is the LayerParams field.
+LAYER_KEYS = ("attn.wq", "attn.wk", "attn.wv", "attn.wo",
+              "mlp.w_gate", "mlp.w_up", "mlp.w_down", "norm_attn", "norm_mlp")
+
+
 @dataclass
 class LayerParams:
     wq: Tensor
@@ -108,23 +111,39 @@ class ModelParams:
     final_norm: Tensor
     lm_head: Tensor
 
+    @classmethod
+    def build(cls, n_layers: int, make) -> ModelParams:
+        """Parameters holding make(name) for each name, called in named_tensors order."""
+        token_embedding = make("token_embedding")
+        layers = [LayerParams(**{key.rsplit(".", 1)[-1]: make(f"layers.{i}.{key}")
+                                 for key in LAYER_KEYS})
+                  for i in range(n_layers)]
+        return cls(token_embedding, layers, make("final_norm"), make("lm_head"))
+
     def named_tensors(self) -> dict[str, Tensor]:
         """Stable name -> tensor mapping; fixes checkpoint and optimizer order."""
         out = {"token_embedding": self.token_embedding}
         for i, layer in enumerate(self.layers):
-            for key in ("wq", "wk", "wv", "wo"):
-                out[f"layers.{i}.attn.{key}"] = getattr(layer, key)
-            for key in ("w_gate", "w_up", "w_down"):
-                out[f"layers.{i}.mlp.{key}"] = getattr(layer, key)
-            out[f"layers.{i}.norm_attn"] = layer.norm_attn
-            out[f"layers.{i}.norm_mlp"] = layer.norm_mlp
-        out["final_norm"] = self.final_norm
-        out["lm_head"] = self.lm_head
+            for key in LAYER_KEYS:
+                out[f"layers.{i}.{key}"] = getattr(layer, key.rsplit(".", 1)[-1])
+        out.update(final_norm=self.final_norm, lm_head=self.lm_head)
         return out
 
     @property
     def dtype(self) -> np.dtype:
         return self.token_embedding.dtype
+
+
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in named_tensors order."""
+    h, inter, kv, v = config.hidden_size, config.intermediate_size, config.kv_dim, config.vocab_size
+    shape = {"token_embedding": (v, h), "final_norm": (h,), "lm_head": (h, v),
+             "attn.wq": (h, h), "attn.wk": (h, kv), "attn.wv": (h, kv), "attn.wo": (h, h),
+             "mlp.w_gate": (h, inter), "mlp.w_up": (h, inter), "mlp.w_down": (inter, h),
+             "norm_attn": (h,), "norm_mlp": (h,)}
+    # Shapes stand in for tensors; a layer tensor's name is "layers.<i>.<key>".
+    return ModelParams.build(config.n_layers,
+                             lambda name: shape[name.split(".", 2)[-1]]).named_tensors()
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float, np_dtype) -> np.ndarray:
@@ -140,39 +159,21 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float, np_dtype) -> np.n
 
 def init_params(config: ModelConfig, seed: int = 0, dtype: str = "f32") -> ModelParams:
     """Truncated-normal weight matrices, unit norm scales, untied head."""
-    if config.tie_embeddings:
-        raise ConfigError("tied embeddings are not supported; the head is a distinct matrix")
     np_dtype = _np_dtype(dtype)
     rng = np.random.default_rng(seed)
-    h, inter, kv = config.hidden_size, config.intermediate_size, config.kv_dim
+    shapes = param_shapes(config)
 
-    def mat(n_in, n_out):
-        return Tensor(_trunc_normal(rng, (n_in, n_out), config.init_std, np_dtype),
-                      requires_grad=True)
+    def make(name: str) -> Tensor:
+        data = (np.ones(shapes[name], np_dtype) if "norm" in name
+                else _trunc_normal(rng, shapes[name], config.init_std, np_dtype))
+        return Tensor(data, requires_grad=True)
 
-    def ones():
-        return Tensor(np.ones(h, dtype=np_dtype), requires_grad=True)
-
-    token_embedding = Tensor(
-        _trunc_normal(rng, (config.vocab_size, h), config.init_std, np_dtype),
-        requires_grad=True)
-    layers = [
-        LayerParams(wq=mat(h, h), wk=mat(h, kv), wv=mat(h, kv), wo=mat(h, h),
-                    w_gate=mat(h, inter), w_up=mat(h, inter), w_down=mat(inter, h),
-                    norm_attn=ones(), norm_mlp=ones())
-        for _ in range(config.n_layers)
-    ]
-    return ModelParams(token_embedding=token_embedding, layers=layers,
-                       final_norm=ones(), lm_head=mat(h, config.vocab_size))
+    return ModelParams.build(config.n_layers, make)
 
 
 def count_params(config: ModelConfig) -> int:
     """Exact parameter count of the architecture, in scalars."""
-    h, inter, kv = config.hidden_size, config.intermediate_size, config.kv_dim
-    per_layer = h * h + 2 * h * kv + h * h + 3 * h * inter + 2 * h
-    embed = config.vocab_size * h
-    head = 0 if config.tie_embeddings else config.vocab_size * h
-    return embed + head + config.n_layers * per_layer + h
+    return sum(math.prod(shape) for shape in param_shapes(config).values())
 
 
 # ---------------------------------------------------------------------------

@@ -233,28 +233,6 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     return _make(a.data.transpose(axes), [(a, lambda g: g.transpose(np.argsort(axes)))])
 
 
-def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
-    data = a.data[..., start:stop]
-
-    def pull(g):
-        full = np.zeros(a.shape, dtype=g.dtype)
-        full[..., start:stop] = g
-        return full
-
-    return _make(data.copy(), [(a, pull)])
-
-
-def concat_last(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[:-1] != b.shape[:-1]:
-        raise ShapeError(f"concat_last needs matching leading shapes: {a.shape} vs {b.shape}")
-    split = a.shape[-1]
-    data = np.concatenate([a.data, b.data], axis=-1)
-    return _make(data, [
-        (a, lambda g: g[..., :split]),
-        (b, lambda g: g[..., split:]),
-    ])
-
-
 # ---------------------------------------------------------------------------
 # matmul and lookups
 
@@ -307,13 +285,6 @@ def tsum(x: Tensor) -> Tensor:
     """Sum of all elements (scalar tensor)."""
     data = np.asarray(x.data.sum(), dtype=x.dtype)
     return _make(data, [(x, lambda g: np.broadcast_to(g, x.shape).astype(x.dtype, copy=True))])
-
-
-def tmean(x: Tensor) -> Tensor:
-    """Mean of all elements (scalar tensor)."""
-    n = x.data.size
-    data = np.asarray(x.data.mean(), dtype=x.dtype)
-    return _make(data, [(x, lambda g: np.broadcast_to(g / n, x.shape).astype(x.dtype, copy=True))])
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -432,13 +403,17 @@ def backward(loss: Tensor) -> None:
             stack.append((parent, False))
 
     cotangent: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    owners: set[int] = set()  # buffers leaf grads hold; clipping scales grads in place
     for node in reversed(order):
         g = cotangent.pop(id(node), None)
         if g is None:
             continue
         if not node._pairs:
             if node.requires_grad:
-                node.grad = g if node.grad is None else node.grad + g
+                g = np.asarray(g if node.grad is None else node.grad + g)
+                owner = id(g if g.base is None else g.base)
+                node.grad = g.copy() if owner in owners else g
+                owners.add(owner)
             continue
         for parent, pull in node._pairs:
             contrib = pull(g)

@@ -1,5 +1,9 @@
 """Checkpoint binary format: bitwise round trips and integrity checks."""
 
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -181,6 +185,41 @@ class TestIntegrity:
         save_checkpoint(path, cfg, tensors)
         with pytest.raises(CheckpointError, match="final_norm"):
             build_params(load_checkpoint(path))
+
+
+def _rewrite_config(path, **fields) -> None:
+    """Add `fields` to the header's config and recompute the file's SHA-256."""
+    raw = path.read_bytes()
+    hlen = struct.unpack("<Q", raw[8:16])[0]
+    header = json.loads(raw[16:16 + hlen])
+    header["config"].update(fields)
+    header_json = json.dumps(header, sort_keys=True).encode("utf-8")
+    payload = raw[16 + hlen:-32]
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(header_json)) + header_json + payload
+                     + hashlib.sha256(header_json + payload).digest())
+
+
+class TestLegacyHeader:
+    """Headers written while the config had tie_embeddings and use_bias."""
+
+    def test_false_flags_load(self, tmp_path):
+        cfg, params = tiny_model(seed=12)
+        path = tmp_path / "old.dkpt"
+        save_model_checkpoint(path, params, cfg)
+        _rewrite_config(path, tie_embeddings=False, use_bias=False)
+        cfg2, params2, _ = load_model(path)
+        assert cfg2 == cfg
+        for name, t in params.named_tensors().items():
+            assert params2.named_tensors()[name].data.tobytes() == t.data.tobytes()
+
+    @pytest.mark.parametrize("key", ["tie_embeddings", "use_bias"])
+    def test_true_flag_rejected(self, tmp_path, key):
+        cfg, params = tiny_model(seed=12)
+        path = tmp_path / "old.dkpt"
+        save_model_checkpoint(path, params, cfg)
+        _rewrite_config(path, **{"tie_embeddings": False, "use_bias": False, key: True})
+        with pytest.raises(CheckpointError, match=key):
+            load_checkpoint(path)
 
 
 class TestInspect:

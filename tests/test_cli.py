@@ -520,6 +520,20 @@ def test_out_of_range_fields_rejected(world, capsys, key, value, expected):
     assert not (world / "ranges").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("tie_embeddings", "false"), ("tie_embeddings", False), ("use_bias", False),
+])
+def test_removed_model_flags_are_unknown_keys(world, capsys, key, value):
+    doc = _base_config("flags")
+    doc["model"][key] = value
+    path = world / "flags.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["pretrain", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["invalid run config:",
+                                                    f"  model.{key}: unknown key"]
+    assert not (world / "flags").exists()
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_json_literals_rejected(world, capsys, literal):
     path = world / "nonfinite.json"

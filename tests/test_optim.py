@@ -15,7 +15,7 @@ from deskllm.optim import (
     clip_grad_norm,
     cosine_lr,
 )
-from deskllm.tensor import Tensor
+from deskllm.tensor import Tensor, add, mul, tsum
 
 
 SCHED = LrSchedule(warmup_tokens=2.36e9, total_tokens=1e12)
@@ -92,6 +92,22 @@ class TestClipGradNorm:
             clip_grad_norm([np.array([np.nan, 1.0])])
         with pytest.raises(NonFiniteGradError):
             clip_grad_norm([np.array([np.inf])])
+
+    def test_scalar_param_grad_clipped_in_place(self):
+        p = Tensor(np.array(2.0), requires_grad=True)
+        for norm in (3.0, 4.0):  # a first grad, then 3 accumulated onto the clipped 1
+            mul(p, 3.0).backward()
+            assert clip_grad_norm([p.grad], max_norm=1.0) == norm
+            assert p.grad == 1.0
+
+    def test_leaf_grads_do_not_share_memory(self):
+        # add() hands both operands the same cotangent array.
+        p = Tensor(np.ones(2), requires_grad=True)
+        q = Tensor(np.ones(2), requires_grad=True)
+        tsum(add(p, q)).backward()
+        assert clip_grad_norm([p.grad, q.grad], max_norm=1.0) == 2.0
+        np.testing.assert_array_equal(p.grad, [0.5, 0.5])
+        np.testing.assert_array_equal(q.grad, [0.5, 0.5])
 
 
 def reference_adamw(p0, grads, lr, beta1, beta2, eps, wd):

@@ -11,7 +11,6 @@ from deskllm.tensor import (
     EmptyLossError,
     ShapeError,
     Tensor,
-    concat_last,
     cross_entropy,
     embedding,
     log_sigmoid,
@@ -20,10 +19,8 @@ from deskllm.tensor import (
     reshape,
     rms_norm,
     silu,
-    slice_last,
     softmax,
     straight_through,
-    tmean,
     transpose,
     tsum,
 )
@@ -285,20 +282,6 @@ class TestShapeOps:
         errs = check_grad(build, {"x": x})
         assert errs["x"] <= 1e-5
 
-    def test_slice_concat_inverse(self):
-        rng = np.random.default_rng(10)
-        x = leaf(rng.normal(size=(3, 8)))
-        a = slice_last(x, 0, 5)
-        b = slice_last(x, 5, 8)
-        back = concat_last(a, b)
-        np.testing.assert_array_equal(back.data, x.data)
-        probe = rng.normal(size=(3, 8))
-        errs = check_grad(
-            lambda: tsum(concat_last(slice_last(x, 0, 5), slice_last(x, 5, 8)) * probe),
-            {"x": x},
-        )
-        assert errs["x"] <= 1e-5
-
     def test_embedding_lookup_and_scatter(self):
         table = leaf(np.arange(12.0).reshape(4, 3))
         out = embedding(table, [1, 1, 3])
@@ -324,13 +307,6 @@ class TestMiscOps:
         np.testing.assert_allclose(out.data, expected, rtol=1e-12)
         errs = check_grad(lambda: tsum(log_sigmoid(x)), {"x": x})
         assert errs["x"] <= 1e-3
-
-    def test_mean(self):
-        x = leaf([1.0, 2.0, 3.0, 4.0])
-        m = tmean(x)
-        assert m.item() == 2.5
-        m.backward()
-        np.testing.assert_allclose(x.grad, [0.25] * 4)
 
     def test_straight_through_passes_grad(self):
         x = leaf([0.3, -1.7])
