@@ -7,7 +7,9 @@ in the config; the commands chain checkpoints by stage and leave logs,
 checkpoints, and results under the run directory.
 """
 
+import atexit
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -20,7 +22,8 @@ from deskllm.dpo import save_preference_records
 from deskllm.tokenizer import save_vocab
 
 base = Path(tempfile.mkdtemp(prefix="deskllm_demo_"))
-print(f"workspace: {base}\n")
+atexit.register(shutil.rmtree, base, ignore_errors=True)
+print(f"workspace: {base} (removed when the demo ends)\n")
 
 save_vocab(chat_vocab(), base / "vocab.txt")
 

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError
 from .model import ModelConfig, ModelParams, count_params
 from .optim import AdamW
 from .tensor import Tensor
@@ -107,7 +108,11 @@ def load_checkpoint(path) -> Checkpoint:
     for key in _LEGACY_FALSE_KEYS:
         if fields.pop(key, False) is not False:
             raise CheckpointError(f"{path}: config.{key} is not supported")
-    return Checkpoint(version, ModelConfig(**fields), tensors, header.get("extra", {}))
+    try:
+        config = ModelConfig(**fields)
+    except (TypeError, ConfigError) as e:  # unknown or missing field, or a bad value
+        raise CheckpointError(f"{path}: unusable model config: {e}") from e
+    return Checkpoint(version, config, tensors, header.get("extra", {}))
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,12 @@ from typing import ClassVar, Iterable, Sequence
 import numpy as np
 
 from .chat import (Conversation, END_MARKER, ROLE_MARKERS, Turn, _marker_ids,
-                   render_chat)
+                   render_chat, sft_example)
 from .errors import PATH, POSITIVE, ConfigError, check, count, number
-from .model import LoraAdapter, ModelConfig, ModelParams, forward
+from .model import LoraAdapter, ModelConfig, ModelParams
 from .optim import AdamW, OptimHyper
-from .pretrain import log_step, optimize
-from .tensor import (IGNORE_INDEX, Tensor, add, cross_entropy, log_sigmoid, mul, neg,
-                     no_grad)
+from .pretrain import batch_loss, log_step, optimize
+from .tensor import Tensor, add, log_sigmoid, mul, neg, no_grad
 from .tokenizer import Vocab, encode
 
 LORA_INIT_STD = 0.02
@@ -76,22 +75,18 @@ def lora_merge(params: ModelParams, adapters: dict[str, LoraAdapter]) -> ModelPa
     return ModelParams.build(len(params.layers), fold)
 
 
-def _scalar_list(x) -> list:
-    if isinstance(x, (Tensor, float, int)):
-        return [x]
-    return list(x)
-
-
 def dpo_loss(policy_lp_c, policy_lp_r, ref_lp_c, ref_lp_r, beta: float = 0.2) -> Tensor:
-    """Batch-mean of -log sigmoid(beta * (policy margin - reference margin))."""
-    plc, plr = _scalar_list(policy_lp_c), _scalar_list(policy_lp_r)
-    rlc, rlr = _scalar_list(ref_lp_c), _scalar_list(ref_lp_r)
-    if not plc or not len(plc) == len(plr) == len(rlc) == len(rlr):
+    """Batch-mean of -log sigmoid(beta * (policy margin - reference margin)).
+
+    Each argument is a sequence with one log-prob per pair.
+    """
+    batches = (policy_lp_c, policy_lp_r, ref_lp_c, ref_lp_r)
+    if not policy_lp_c or len({len(b) for b in batches}) != 1:
         raise ValueError("dpo_loss needs four equal-length nonempty batches")
     if beta <= 0:
         raise ConfigError(f"beta must be positive, got {beta}")
     terms = [neg(log_sigmoid(mul((c - rc) - (r - rr), beta)))
-             for c, r, rc, rr in zip(plc, plr, rlc, rlr)]
+             for c, r, rc, rr in zip(*batches)]
     return mul(reduce(add, terms), 1.0 / len(terms))
 
 
@@ -110,12 +105,9 @@ def sequence_logprob(params: ModelParams, config: ModelConfig, prompt_ids,
     if total > config.max_context:
         raise ValueError(f"prompt+response of {total} tokens exceeds context "
                          f"{config.max_context}")
-    full = np.concatenate([prompt, response])
-    inputs = full[:-1]
-    targets = np.full(inputs.size, IGNORE_INDEX, dtype=np.int64)
-    targets[prompt.size - 1:] = response
-    logits = forward(params, inputs, config, adapters=adapters, fp8=fp8)
-    mean_nll = cross_entropy(logits, targets)
+    example = sft_example(np.concatenate([prompt, response]),
+                          np.repeat([0, 1], [prompt.size, response.size]))
+    mean_nll = batch_loss(params, config, [example], adapters=adapters, fp8=fp8)
     return mul(mean_nll, -float(response.size))
 
 
@@ -260,9 +252,6 @@ def dpo_train(params: ModelParams, config: ModelConfig, stages: Sequence[DpoStag
     with frozen(params.named_tensors().values()):
         for stage_idx, stage in enumerate(stages):
             rendered = [render_pair(pair, vocab) for pair in stage.pairs]
-            for prompt_ids, chosen, rejected in rendered:
-                if prompt_ids.size + max(chosen.size, rejected.size) > config.max_context:
-                    raise ValueError("rendered pair exceeds model context")
             if not rendered:
                 warnings.warn(f"stage {stage_idx} has no pairs", RuntimeWarning)
                 continue

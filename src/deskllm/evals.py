@@ -1,13 +1,16 @@
 """Evaluation surface: perplexity, multiple-choice scoring, few-shot
 prompt assembly, exact match, and deterministic generation.
 
-Generation and multiple-choice scoring run through `model.forward` with
-a preallocated KV cache (`DecodeSession`), the same code as training.
-Decoding feeds each new token after the cached ones and must pick the
-same tokens as recomputing the full forward pass each step, which the
-tests assert. Multiple choice forwards the rendered prompt once; each
-choice rewinds the cache to the end of the prompt and forwards only its
-own tokens.
+Perplexity scores through `pretrain.batch_loss`, the cross-entropy that
+training uses. Generation and multiple-choice scoring run through
+`model.forward` with a preallocated KV cache (`DecodeSession`), the same
+code as training. Decoding feeds each new token after the cached ones
+and must pick the same tokens as recomputing the full forward pass each
+step, which the tests assert. Multiple choice forwards the rendered
+prompt once; each choice rewinds the cache to the end of the prompt and
+forwards only its own tokens. It stays off `batch_loss` for that reason:
+a full forward per choice would re-run the shared prefix, and its
+log-softmax is taken in f64 rather than in the model dtype.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import numpy as np
 from .data import pack_sequences
 from .errors import ConfigError
 from .model import KVCache, LoraAdapter, ModelConfig, ModelParams, forward
-from .tensor import IGNORE_INDEX, cross_entropy, no_grad
+from .pretrain import batch_loss
+from .tensor import IGNORE_INDEX, no_grad
 from .tokenizer import Vocab, decode, encode
 
 # few-shot constants: exemplar blocks are "question\nanswer" joined by a
@@ -38,16 +42,18 @@ QUERY_SUFFIX = "\n"
 
 def perplexity(params: ModelParams, config: ModelConfig, token_docs, seq_len: int,
                eos_id: int, *, adapters=None, fp8: bool = False) -> float:
-    """exp(mean next-token NLL) over corpus windows packed like training."""
+    """exp(mean next-token NLL) over corpus windows packed like training.
+
+    Each window is scored by its own batch_loss call, so the mean over
+    windows is taken in Python floats rather than in the model dtype.
+    """
     if seq_len > config.max_context:
         raise ValueError(f"seq_len {seq_len} exceeds context {config.max_context}")
-    total_nll = 0.0
-    scored = 0
+    total_nll, scored = 0.0, 0
     with no_grad():
-        for window, targets in pack_sequences(token_docs, seq_len, eos_id):
+        for inputs, targets in pack_sequences(token_docs, seq_len, eos_id):
             n = int(np.sum(targets != IGNORE_INDEX))
-            loss = cross_entropy(forward(params, window, config, adapters=adapters,
-                                         fp8=fp8), targets)
+            loss = batch_loss(params, config, [(inputs, targets)], adapters=adapters, fp8=fp8)
             total_nll += float(loss.item()) * n
             scored += n
     if scored == 0:

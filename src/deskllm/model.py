@@ -385,7 +385,7 @@ class KVCache:
 
 
 def forward(params: ModelParams, tokens, config: ModelConfig, *, fp8: bool = False,
-            adapters=None, mask: Tensor | None = None, cache: KVCache | None = None) -> Tensor:
+            adapters=None, cache: KVCache | None = None) -> Tensor:
     """Logits [T, vocab] for one token sequence.
 
     fp8 rounds attention/MLP linear operands to E4M3 at forward time;
@@ -408,14 +408,13 @@ def forward(params: ModelParams, tokens, config: ModelConfig, *, fp8: bool = Fal
             f"token id out of range [0, {config.vocab_size}): min={ids.min()}, max={ids.max()}")
     start = 0
     if cache is not None:
-        if T.grad_enabled() or mask is not None:
-            raise ValueError("a cached forward runs under no_grad() and builds its own mask")
+        if T.grad_enabled():
+            raise ValueError("a cached forward runs under no_grad()")
         start = cache.pos
         if start + t_len > cache.capacity:
             raise ValueError(f"{start + t_len} positions exceed cache capacity {cache.capacity}")
     positions = np.arange(start, start + t_len)
-    if mask is None:
-        mask = attention_mask(t_len, config.sliding_window, dtype=params.dtype, start=start)
+    mask = attention_mask(t_len, config.sliding_window, dtype=params.dtype, start=start)
     rope = rope_tables(positions, config.head_dim, config.rope_theta, params.dtype)
 
     x = T.embedding(params.token_embedding, ids)

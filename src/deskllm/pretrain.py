@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import DataStage, Document, pack_sequences, sample_mix, stage_index
 from .errors import ConfigError, check, count
-from .model import ModelConfig, ModelParams, attention_mask, forward
+from .model import ModelConfig, ModelParams, forward
 from .optim import AdamW, LrSchedule, OptimHyper, clip_grad_norm, cosine_lr
 from .tensor import Tensor, add, cross_entropy, mul, no_grad
 from .tokenizer import Vocab, encode
@@ -86,15 +86,19 @@ class TrainPlan:
         return sum(stage.token_budget for stage in self.stages)
 
 
-def batch_loss(params: ModelParams, config: ModelConfig, batch, *,
-               fp8: bool = False, mask: Tensor | None = None) -> Tensor:
-    """Mean cross-entropy over a batch of (window, targets) pairs.
+def batch_loss(params: ModelParams, config: ModelConfig, examples, *,
+               fp8: bool = False, adapters=None) -> Tensor:
+    """Mean next-token cross-entropy over (inputs, targets) examples.
 
-    Every packed window scores the same number of positions, so the mean
-    of per-sequence means equals the global per-position mean.
+    The package's one forward-then-cross-entropy: pretrain, SFT, DPO and
+    perplexity all score through it. Examples may differ in length, and
+    targets hold IGNORE_INDEX on unscored rows. The result is the mean of
+    per-example means; packed windows all score seq_len - 1 rows, so for
+    them it is the per-position mean.
     """
-    losses = [cross_entropy(forward(params, window, config, fp8=fp8, mask=mask), targets)
-              for window, targets in batch]
+    losses = [cross_entropy(forward(params, inputs, config, fp8=fp8, adapters=adapters),
+                            targets)
+              for inputs, targets in examples]
     return mul(reduce(add, losses), 1.0 / len(losses))
 
 
@@ -158,13 +162,6 @@ class Trainer:
         self._stage_index = -1
         self._stream = None
         self._val_set: list = []
-        self._masks: dict[int, Tensor] = {}
-
-    def _mask(self, seq_len: int) -> Tensor:
-        if seq_len not in self._masks:
-            self._masks[seq_len] = attention_mask(seq_len, self.config.sliding_window,
-                                                  dtype=self.params.dtype)
-        return self._masks[seq_len]
 
     def _packed_stream(self, stage: DataStage, sources, seed: int):
         docs = sample_mix(stage, sources, seed=seed)
@@ -186,16 +183,13 @@ class Trainer:
     def _val_loss(self) -> float | None:
         if not self._val_set:
             return None
-        stage = self.plan.stages[self._stage_index]
         with no_grad():
-            loss = batch_loss(self.params, self.config, self._val_set,
-                              fp8=self.plan.fp8, mask=self._mask(stage.seq_len))
+            loss = batch_loss(self.params, self.config, self._val_set, fp8=self.plan.fp8)
         return float(loss.item())
 
     def train_step(self, batch, seq_len: int) -> dict:
         """One optimization step on an explicit batch; returns the log record."""
-        loss = batch_loss(self.params, self.config, batch, fp8=self.plan.fp8,
-                          mask=self._mask(seq_len))
+        loss = batch_loss(self.params, self.config, batch, fp8=self.plan.fp8)
         tokens = sum(len(window) for window, _ in batch)
         lr = cosine_lr(self.tokens_seen + tokens, self.plan.schedule)
         train_loss = optimize(loss, self.opt, lr)

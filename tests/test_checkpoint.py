@@ -187,11 +187,14 @@ class TestIntegrity:
             build_params(load_checkpoint(path))
 
 
-def _rewrite_config(path, **fields) -> None:
-    """Add `fields` to the header's config and recompute the file's SHA-256."""
+def _rewrite_config(path, drop=(), **fields) -> None:
+    """Remove the keys `drop` from the header's config, add `fields`, and
+    recompute the file's SHA-256."""
     raw = path.read_bytes()
     hlen = struct.unpack("<Q", raw[8:16])[0]
     header = json.loads(raw[16:16 + hlen])
+    for key in drop:
+        del header["config"][key]
     header["config"].update(fields)
     header_json = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = raw[16 + hlen:-32]
@@ -219,6 +222,23 @@ class TestLegacyHeader:
         save_model_checkpoint(path, params, cfg)
         _rewrite_config(path, **{"tie_embeddings": False, "use_bias": False, key: True})
         with pytest.raises(CheckpointError, match=key):
+            load_checkpoint(path)
+
+
+class TestBadHeaderConfig:
+    """A header config that ModelConfig rejects is a CheckpointError naming the file."""
+
+    @pytest.mark.parametrize("drop, fields", [
+        ((), {"rope_scaling": 1.0}),      # a field this version does not know
+        (("hidden_size",), {}),           # a required field missing
+        ((), {"n_kv_heads": 3}),          # a value ModelConfig rejects
+    ], ids=["unknown", "missing", "bad_value"])
+    def test_rejected(self, tmp_path, drop, fields):
+        cfg, params = tiny_model(seed=12)
+        path = tmp_path / "bad.dkpt"
+        save_model_checkpoint(path, params, cfg)
+        _rewrite_config(path, drop=drop, **fields)
+        with pytest.raises(CheckpointError, match="bad.dkpt"):
             load_checkpoint(path)
 
 

@@ -13,9 +13,11 @@ DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_exits_zero(demo, tmp_path):
-    # TMPDIR keeps the workspaces that demos create inside tmp_path.
+    # TMPDIR keeps the workspaces that demos create inside tmp_path, where
+    # the test checks that they are removed.
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, TMPDIR=str(tmp_path))
     result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr[-2000:]
+    assert not list(tmp_path.glob("deskllm_demo_*"))

@@ -11,7 +11,7 @@ from deskllm.evals import (DecodeSession, EMTask, MCTask, apply_repetition_penal
                            evaluate_em_tasks, evaluate_tasks, exact_match,
                            few_shot_render, generate, generate_text, load_tasks,
                            mc_pick, mc_score, perplexity, save_results)
-from deskllm.dpo import init_lora_adapters
+from deskllm.dpo import init_lora_adapters, lora_merge
 from deskllm.model import forward
 from deskllm.tensor import no_grad
 from deskllm.tokenizer import byte_fallback_vocab, encode
@@ -62,6 +62,20 @@ class TestPerplexity:
         a = math.log(perplexity(params, cfg, docs[:2], seq_len=8, eos_id=31))
         b = math.log(perplexity(params, cfg, docs[2:], seq_len=8, eos_id=31))
         assert whole == pytest.approx((a + b) / 2.0, abs=1e-10)
+
+    def test_adapters_score_like_merged_weights(self):
+        cfg, params = tiny_model(seed=5, vocab_size=32)
+        rng = np.random.default_rng(1)
+        docs = [list(rng.integers(0, 31, size=15)) for _ in range(4)]
+        adapters = init_lora_adapters(params, seed=3)
+        plain = perplexity(params, cfg, docs, seq_len=8, eos_id=31)
+        assert perplexity(params, cfg, docs, seq_len=8, eos_id=31, adapters=adapters) == plain
+        for adapter in adapters.values():
+            adapter.b.data[...] = rng.normal(0.0, 0.1, size=adapter.b.shape)
+        adapted = perplexity(params, cfg, docs, seq_len=8, eos_id=31, adapters=adapters)
+        merged = perplexity(lora_merge(params, adapters), cfg, docs, seq_len=8, eos_id=31)
+        assert adapted == pytest.approx(merged, rel=1e-10)
+        assert abs(adapted - plain) > 1e-3 * plain
 
     def test_empty_corpus_rejected(self):
         cfg, params = tiny_model(seed=3)
