@@ -53,34 +53,35 @@ class Checkpoint:
 
 def save_checkpoint(path, config: ModelConfig, tensors: dict[str, np.ndarray],
                     extra: dict | None = None) -> None:
+    """Write the header, then each tensor's bytes, hashing them as they go."""
     entries = []
-    blobs = []
+    arrays = []
     offset = 0
     for name, arr in tensors.items():
         arr = np.ascontiguousarray(arr)
         le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
         if le.dtype.str not in _ALLOWED_DTYPES:
             raise CheckpointError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
-        raw = le.tobytes()
         entries.append({"name": name, "dtype": le.dtype.str, "shape": list(arr.shape),
-                        "offset": offset, "nbytes": len(raw)})
-        blobs.append(raw)
-        offset += len(raw)
+                        "offset": offset, "nbytes": le.nbytes})
+        arrays.append(le)
+        offset += le.nbytes
     header = {"config": asdict(config), "tensors": entries, "extra": dict(extra or {})}
     header_json = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = b"".join(blobs)
-    digest = hashlib.sha256(header_json + payload).digest()
+    digest = hashlib.sha256(header_json)
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
         f.write(struct.pack("<Q", len(header_json)))
         f.write(header_json)
-        f.write(payload)
-        f.write(digest)
+        for le in arrays:
+            digest.update(le)
+            f.write(le)
+        f.write(digest.digest())
 
 
 def load_checkpoint(path) -> Checkpoint:
-    raw = Path(path).read_bytes()
+    raw = memoryview(Path(path).read_bytes())
     if len(raw) < 16 + 32 or raw[:4] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic or truncated)")
     version = struct.unpack("<I", raw[4:8])[0]
@@ -89,20 +90,19 @@ def load_checkpoint(path) -> Checkpoint:
     hlen = struct.unpack("<Q", raw[8:16])[0]
     if 16 + hlen + 32 > len(raw):
         raise CheckpointError(f"{path}: truncated header")
-    header_json = raw[16:16 + hlen]
-    payload = raw[16 + hlen:-32]
-    if hashlib.sha256(header_json + payload).digest() != raw[-32:]:
+    if hashlib.sha256(raw[16:-32]).digest() != raw[-32:]:
         raise CheckpointError(f"{path}: checksum mismatch")
-    header = json.loads(header_json)
+    header = json.loads(bytes(raw[16:16 + hlen]))
+    start, payload_len = 16 + hlen, len(raw) - 48 - hlen
     tensors: dict[str, np.ndarray] = {}
     for e in header["tensors"]:
         if e["dtype"] not in _ALLOWED_DTYPES:
             raise CheckpointError(f"tensor {e['name']!r} has unsupported dtype")
         dt = np.dtype(e["dtype"])
-        if e["offset"] + e["nbytes"] > len(payload):
+        if e["offset"] + e["nbytes"] > payload_len:
             raise CheckpointError(f"tensor {e['name']!r} extends past payload")
-        arr = np.frombuffer(payload, dtype=dt, count=e["nbytes"] // dt.itemsize,
-                            offset=e["offset"]).reshape(e["shape"]).copy()
+        arr = np.frombuffer(raw, dtype=dt, count=e["nbytes"] // dt.itemsize,
+                            offset=start + e["offset"]).reshape(e["shape"]).copy()
         tensors[e["name"]] = arr
     fields = header["config"]
     for key in _LEGACY_FALSE_KEYS:

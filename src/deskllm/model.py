@@ -285,7 +285,9 @@ def gqa_attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, mask: Tensor,
     (Tk exceeds Tq when earlier keys come from a cache). Each group of
     n_heads/n_kv_heads query heads shares one KV head; scores are scaled
     by 1/sqrt(head_dim), masked, softmaxed, applied to values, and the
-    concatenated heads are projected by wo.
+    concatenated heads are projected by wo. The core is one `T.attention`
+    op, so the graph keeps the softmax weights ([n_kv, group, Tq, Tk])
+    but no score arrays.
     """
     n_h, n_kv, d = config.n_heads, config.n_kv_heads, config.head_dim
     t_len, t_keys = q.shape[0], k.shape[0]
@@ -299,9 +301,7 @@ def gqa_attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, mask: Tensor,
     qh = T.reshape(T.transpose(T.reshape(q, (t_len, n_h, d)), (1, 0, 2)), (n_kv, group, t_len, d))
     kh = T.reshape(T.transpose(T.reshape(k, (t_keys, n_kv, d)), (1, 0, 2)), (n_kv, 1, t_keys, d))
     vh = T.reshape(T.transpose(T.reshape(v, (t_keys, n_kv, d)), (1, 0, 2)), (n_kv, 1, t_keys, d))
-    scores = T.mul(T.matmul(qh, T.transpose(kh, (0, 1, 3, 2))), 1.0 / math.sqrt(d))
-    weights = T.softmax(T.add(scores, mask), axis=-1)
-    ctx = T.matmul(weights, vh)
+    ctx = T.attention(qh, kh, vh, mask, 1.0 / math.sqrt(d))
     ctx = T.reshape(T.transpose(T.reshape(ctx, (n_h, t_len, d)), (1, 0, 2)), (t_len, n_h * d))
     return linear(ctx, wo, fp8=fp8, adapter=wo_adapter)
 

@@ -68,14 +68,15 @@ class Tensor:
 
     `_pairs` holds (parent, pull) edges where `pull` maps this node's
     cotangent to the parent's contribution. Leaves (no pairs) accumulate
-    into `.grad`; anything else is internal to `backward`.
+    into `.grad`; anything else is internal to `backward`, which sets an
+    op result's `_pairs` to None once it has run its pulls.
     """
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _as_array(data, dtype)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._pairs: list[tuple[Tensor, Callable[[np.ndarray], np.ndarray]]] = []
+        self._pairs: list[tuple[Tensor, Callable[[np.ndarray], np.ndarray]]] | None = []
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -287,6 +288,23 @@ def tsum(x: Tensor) -> Tensor:
     return _make(data, [(x, lambda g: np.broadcast_to(g, x.shape).astype(x.dtype, copy=True))])
 
 
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    m = x.max(axis=axis, keepdims=True)
+    masked = m <= MASK_NEG[x.dtype]  # also true for -inf
+    with np.errstate(invalid="ignore"):
+        e = np.exp(x - m)
+        s = e / e.sum(axis=axis, keepdims=True)
+    if masked.any():
+        warnings.warn("softmax over fully masked slice; returning zeros", RuntimeWarning)
+        s = np.where(masked, 0.0, s).astype(x.dtype)
+    return s
+
+
+def _softmax_pull(s: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    inner = (g * s).sum(axis=axis, keepdims=True)
+    return s * (g - inner)
+
+
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Exp-normalize along `axis` with max subtraction.
 
@@ -296,20 +314,33 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """
     if not -x.data.ndim <= axis < x.data.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
-    m = x.data.max(axis=axis, keepdims=True)
-    masked = m <= MASK_NEG[x.dtype]  # also true for -inf
-    with np.errstate(invalid="ignore"):
-        e = np.exp(x.data - m)
-        s = e / e.sum(axis=axis, keepdims=True)
-    if masked.any():
-        warnings.warn("softmax over fully masked slice; returning zeros", RuntimeWarning)
-        s = np.where(masked, 0.0, s).astype(x.dtype)
+    s = _softmax(x.data, axis)
+    return _make(s, [(x, lambda g: _softmax_pull(s, g, axis))])
 
-    def pull(g):
-        inner = (g * s).sum(axis=axis, keepdims=True)
-        return s * (g - inner)
 
-    return _make(s, [(x, pull)])
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor, scale: float) -> Tensor:
+    """softmax(q @ k^T * scale + mask) @ v over the last two axes, as one op.
+
+    q is [..., Tq, d]; k and v are [..., Tk, d] and broadcast against q's
+    leading axes; mask is a constant [Tq, Tk] additive mask (see
+    `softmax` for fully masked rows). The graph keeps q, k, v and the
+    softmax weights, not the score arrays. Values and gradients equal,
+    bit for bit, those of the matmul, mul, add, softmax, matmul chain.
+    """
+    scale = np.asarray(scale, dtype=q.dtype)
+    w = _softmax((q.data @ _swap(k.data)) * scale + mask.data, -1)
+    memo = []
+
+    def d_scores(g):  # shared by the q and k pulls
+        if not memo:
+            memo.append(_softmax_pull(w, g @ _swap(v.data), -1) * scale)
+        return memo[0]
+
+    return _make(w @ v.data, [
+        (q, lambda g: _sum_to(d_scores(g) @ k.data, q.shape)),
+        (k, lambda g: _swap(_sum_to(_swap(q.data) @ d_scores(g), _swap(k.data).shape))),
+        (v, lambda g: _sum_to(_swap(w) @ g, v.shape)),
+    ])
 
 
 def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
@@ -382,7 +413,10 @@ def backward(loss: Tensor) -> None:
     """Populate `.grad` on every reachable leaf with d(loss)/d(leaf).
 
     Repeated calls accumulate into existing gradients. `loss` must be a
-    scalar (one element).
+    scalar (one element). Each op result drops its edges, and with them
+    the arrays its pulls hold, as soon as its pulls have run, so a graph
+    can be backpropagated once: a later backward that reaches one of its
+    op results raises RuntimeError.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -397,6 +431,8 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._pairs is None:
+            raise RuntimeError("backward through a graph that was already backpropagated")
         seen.add(id(node))
         stack.append((node, True))
         for parent, _ in node._pairs:
@@ -404,10 +440,9 @@ def backward(loss: Tensor) -> None:
 
     cotangent: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     owners: set[int] = set()  # buffers leaf grads hold; clipping scales grads in place
-    for node in reversed(order):
-        g = cotangent.pop(id(node), None)
-        if g is None:
-            continue
+    while order:
+        node = order.pop()
+        g = cotangent.pop(id(node))  # every node in order lies on a path to loss
         if not node._pairs:
             if node.requires_grad:
                 g = np.asarray(g if node.grad is None else node.grad + g)
@@ -415,7 +450,8 @@ def backward(loss: Tensor) -> None:
                 node.grad = g.copy() if owner in owners else g
                 owners.add(owner)
             continue
-        for parent, pull in node._pairs:
+        pairs, node._pairs = node._pairs, None
+        for parent, pull in pairs:
             contrib = pull(g)
             key = id(parent)
             if key in cotangent:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -298,6 +300,23 @@ class TestGqaAttention:
         errs = check_grad(lambda: T.tsum(gqa_attention(q, k, v, wo, mask, cfg)),
                           {"q": q, "k": k, "v": v, "wo": wo})
         assert max(errs.values()) < 1e-6
+
+    def test_graph_keeps_one_weights_array(self):
+        # One call's graph holds the softmax weights; every other array it
+        # keeps is of q's size, far below one [heads, T, T] array.
+        cfg = tiny_config(hidden_size=64, n_heads=8, n_kv_heads=2, max_context=256)
+        t_len = 256
+        q, k, v, wo = (Tensor(a, requires_grad=True) for a in self._inputs(cfg, t_len, seed=6))
+        mask = attention_mask(t_len, 128, "f64")
+        weights_nbytes = cfg.n_heads * t_len * t_len * 8
+        tracemalloc.start()
+        try:
+            out = gqa_attention(q, k, v, wo, mask, cfg)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert retained < 1.5 * weights_nbytes
 
 
 class TestDecoderBlock:

@@ -2,6 +2,7 @@
 central finite differences, and graph bookkeeping."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -100,6 +101,60 @@ class TestSoftmax:
     def test_invalid_axis(self):
         with pytest.raises(ShapeError):
             softmax(Tensor(np.zeros((2, 2))), axis=2)
+
+
+def window_mask(t_q: int, t_k: int, window: int, dtype) -> Tensor:
+    """Additive mask for the last t_q of t_k positions, each seeing `window` keys."""
+    i = np.arange(t_k - t_q, t_k)[:, None]
+    j = np.arange(t_k)[None, :]
+    allowed = (j <= i) & (j > i - window)
+    return Tensor(np.where(allowed, 0.0, T.MASK_NEG[np.dtype(dtype)]).astype(dtype))
+
+
+def attention_chain(q, k, v, mask, scale):
+    """The attention op spelled as five graph ops."""
+    scores = T.mul(matmul(q, transpose(k, (0, 1, 3, 2))), scale)
+    return matmul(softmax(T.add(scores, mask), axis=-1), v)
+
+
+class TestAttention:
+    # (n_kv, group, Tq, Tk, window): k and v carry a size-1 group axis,
+    # so they broadcast over the query heads of their group.
+    CASES = [(2, 3, 5, 5, 2),   # window shorter than T
+             (1, 2, 1, 1, 1),   # T = 1
+             (2, 2, 3, 7, 4),   # cached keys: Tk > Tq
+             (2, 1, 4, 4, 4)]   # plain causal, no broadcast
+
+    def _arrays(self, n_kv, group, t_q, t_k, seed=0):
+        rng = np.random.default_rng(seed)
+        d = 6
+        return (rng.normal(size=(n_kv, group, t_q, d)), rng.normal(size=(n_kv, 1, t_k, d)),
+                rng.normal(size=(n_kv, 1, t_k, d)), rng.normal(size=(n_kv, group, t_q, d)))
+
+    @pytest.mark.parametrize("n_kv,group,t_q,t_k,window", CASES)
+    def test_gradient(self, n_kv, group, t_q, t_k, window):
+        q, k, v, probe = self._arrays(n_kv, group, t_q, t_k)
+        q, k, v = leaf(q), leaf(k), leaf(v)
+        mask = window_mask(t_q, t_k, window, np.float64)
+        errs = check_grad(lambda: tsum(T.attention(q, k, v, mask, 0.4) * probe),
+                          {"q": q, "k": k, "v": v})
+        assert max(errs.values()) <= 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_kv,group,t_q,t_k,window", CASES)
+    def test_bitwise_equal_to_the_op_chain(self, dtype, n_kv, group, t_q, t_k, window):
+        arrays = self._arrays(n_kv, group, t_q, t_k, seed=1)
+        mask = window_mask(t_q, t_k, window, dtype)
+
+        def run(op):
+            q, k, v = (leaf(a, dtype) for a in arrays[:3])
+            out = op(q, k, v, mask, 1.0 / math.sqrt(6))
+            tsum(out * arrays[3]).backward()
+            return [out.data, q.grad, k.grad, v.grad]
+
+        for got, want in zip(run(T.attention), run(attention_chain)):
+            assert got.dtype == want.dtype == dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestRmsNorm:
@@ -243,6 +298,29 @@ class TestBackwardSemantics:
         x.zero_grad()
         tsum(x).backward()
         np.testing.assert_array_equal(x.grad, [1.0, 1.0])
+
+    def test_second_backward_raises(self):
+        x = leaf([1.0, 2.0])
+        loss = tsum(x * x)
+        loss.backward()
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            loss.backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+    def test_graph_on_backpropagated_intermediate_raises(self):
+        x = leaf([1.0, 2.0])
+        y = x * x
+        tsum(y).backward()
+        with pytest.raises(RuntimeError, match="already backpropagated"):
+            tsum(y * 3.0).backward()
+
+    def test_backward_releases_the_graph(self):
+        x = leaf([1.0, 2.0])
+        loss = tsum(x * x)
+        inner = weakref.ref(loss._pairs[0][0])
+        loss.backward()
+        assert inner() is None
+        assert loss._pairs is None and x._pairs == []
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ValueError, match="scalar"):
