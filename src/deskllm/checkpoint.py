@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -37,6 +38,7 @@ VERSION = 1
 _ALLOWED_DTYPES = ("<f4", "<f8")
 # Config fields that older headers carry; they load only while false.
 _LEGACY_FALSE_KEYS = ("tie_embeddings", "use_bias")
+_ENTRY_KEYS = ("name", "dtype", "shape", "offset", "nbytes")
 
 
 class CheckpointError(RuntimeError):
@@ -58,7 +60,7 @@ def save_checkpoint(path, config: ModelConfig, tensors: dict[str, np.ndarray],
     arrays = []
     offset = 0
     for name, arr in tensors.items():
-        arr = np.ascontiguousarray(arr)
+        arr = np.asarray(arr, order="C")  # keeps 0-d arrays 0-d
         le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
         if le.dtype.str not in _ALLOWED_DTYPES:
             raise CheckpointError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
@@ -95,15 +97,26 @@ def load_checkpoint(path) -> Checkpoint:
     header = json.loads(bytes(raw[16:16 + hlen]))
     start, payload_len = 16 + hlen, len(raw) - 48 - hlen
     tensors: dict[str, np.ndarray] = {}
-    for e in header["tensors"]:
-        if e["dtype"] not in _ALLOWED_DTYPES:
-            raise CheckpointError(f"tensor {e['name']!r} has unsupported dtype")
-        dt = np.dtype(e["dtype"])
-        if e["offset"] + e["nbytes"] > payload_len:
-            raise CheckpointError(f"tensor {e['name']!r} extends past payload")
-        arr = np.frombuffer(raw, dtype=dt, count=e["nbytes"] // dt.itemsize,
-                            offset=start + e["offset"]).reshape(e["shape"]).copy()
-        tensors[e["name"]] = arr
+    for i, e in enumerate(header["tensors"]):
+        where = f"{path}: tensor {e.get('name', f'#{i}')!r}"
+        missing = [key for key in _ENTRY_KEYS if key not in e]
+        if missing:
+            raise CheckpointError(f"{where} has no {', '.join(missing)}")
+        name, dtype, shape, offset, nbytes = (e[key] for key in _ENTRY_KEYS)
+        if dtype not in _ALLOWED_DTYPES:
+            raise CheckpointError(f"{where} has unsupported dtype")
+        if not (isinstance(shape, list)
+                and all(type(n) is int and n >= 0 for n in [*shape, offset, nbytes])):
+            raise CheckpointError(f"{where}: shape, offset and nbytes must hold ints >= 0")
+        dt = np.dtype(dtype)
+        if nbytes != math.prod(shape) * dt.itemsize:
+            raise CheckpointError(f"{where}: nbytes {nbytes} does not fit shape {shape}")
+        if offset + nbytes > payload_len:
+            raise CheckpointError(f"{where} extends past payload")
+        if name in tensors:
+            raise CheckpointError(f"{where} is listed twice")
+        tensors[name] = np.frombuffer(raw, dtype=dt, count=nbytes // dt.itemsize,
+                                      offset=start + offset).reshape(shape).copy()
     fields = header["config"]
     for key in _LEGACY_FALSE_KEYS:
         if fields.pop(key, False) is not False:

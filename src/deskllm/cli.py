@@ -106,17 +106,14 @@ def _pick_checkpoint(cfg: RunConfig, command: str) -> Path:
         f"{command}.{key}")
 
 
-def _require(cfg: RunConfig, command: str, condition: bool,
-             message: str) -> None:
+def _require(command: str, condition: bool, message: str) -> None:
     if not condition:
         raise CliError(f"{command}: {message}")
 
 
 def cmd_pretrain(cfg: RunConfig) -> int:
-    _require(cfg, "pretrain", cfg.pretrain is not None,
-             "config has no pretrain section")
-    _require(cfg, "pretrain", cfg.data.corpus is not None,
-             "data.corpus is required")
+    _require("pretrain", cfg.pretrain is not None, "config has no pretrain section")
+    _require("pretrain", cfg.data.corpus is not None, "data.corpus is required")
     vocab = cfg.load_vocab()
     sources = group_by_source(load_corpus(cfg.data_path("corpus")))
     val_path = cfg.data_path("val_corpus")
@@ -138,8 +135,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
 
 
 def cmd_sft(cfg: RunConfig) -> int:
-    _require(cfg, "sft", cfg.data.sft is not None,
-             "data.sft (conversations file) is required")
+    _require("sft", cfg.data.sft is not None, "data.sft (conversations file) is required")
     vocab = cfg.load_vocab()
     config, params, _ = load_model(_pick_checkpoint(cfg, "sft"))
     conversations = load_conversations(cfg.data_path("sft"))
@@ -159,11 +155,9 @@ def _dpo_stages(cfg: RunConfig, plan: DpoPlan) -> list[DpoStage]:
     for entry in plan.stages:
         path = (cfg.data.preferences if entry.preferences is None
                 else entry.preferences)
-        _require(cfg, "dpo", path is not None,
-                 "either dpo.stages or data.preferences is required")
+        _require("dpo", path is not None, "either dpo.stages or data.preferences is required")
         pairs = build_preference_pairs(load_preference_records(cfg.resolve(path)))
-        _require(cfg, "dpo", bool(pairs),
-                 f"no usable preference pairs in {path}")
+        _require("dpo", bool(pairs), f"no usable preference pairs in {path}")
         stages.append(DpoStage(pairs=tuple(pairs), lr=entry.lr,
                                epochs=entry.epochs))
     return stages
@@ -191,7 +185,7 @@ def cmd_remap(cfg: RunConfig) -> int:
     from .tokenizer import remap_embeddings
 
     plan = cfg.remap
-    _require(cfg, "remap", plan is not None and plan.new_vocab is not None,
+    _require("remap", plan is not None and plan.new_vocab is not None,
              "remap.new_vocab is required")
     old_vocab = cfg.load_vocab()
     new_vocab = load_vocab(
@@ -220,7 +214,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     plan = cfg.eval or EvalPlan()
     tasks_path = cfg.data_path("tasks")
     val_path = cfg.data_path("val_corpus")
-    _require(cfg, "eval", tasks_path is not None or val_path is not None,
+    _require("eval", tasks_path is not None or val_path is not None,
              "needs data.tasks and/or data.val_corpus")
     vocab = cfg.load_vocab()
     config, params, _ = load_model(_pick_checkpoint(cfg, "eval"))
@@ -258,7 +252,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 def cmd_generate(cfg: RunConfig) -> int:
     plan = cfg.generate
-    _require(cfg, "generate", plan is not None and plan.prompt is not None,
+    _require("generate", plan is not None and plan.prompt is not None,
              "generate.prompt is required")
     vocab = cfg.load_vocab()
     config, params, _ = load_model(_pick_checkpoint(cfg, "generate"))

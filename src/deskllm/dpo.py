@@ -1,16 +1,16 @@
 """Preference alignment: LoRA adapters, the DPO loss, and its training loop.
 
 The policy is the base model plus low-rank adapters on every attention
-and MLP linear; the reference is the same model with the adapters off,
-so it is frozen by construction and costs no copy. Reference response
-log-probs are computed once per pair and cached as plain floats.
+and MLP linear; the reference is the base alone. Both read the base as
+constants that share the caller's arrays and need no grad, so it is
+frozen by construction, costs no copy and the caller's tensors are never
+touched. Reference log-probs are computed once per pair and cached.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import reduce
 from pathlib import Path
@@ -91,7 +91,7 @@ def dpo_loss(policy_lp_c, policy_lp_r, ref_lp_c, ref_lp_r, beta: float = 0.2) ->
 
 
 def sequence_logprob(params: ModelParams, config: ModelConfig, prompt_ids,
-                     response_ids, *, adapters=None, fp8: bool = False) -> Tensor:
+                     response_ids, *, adapters=None) -> Tensor:
     """Summed log-probability of the response tokens given the prompt."""
     prompt = np.asarray(prompt_ids, dtype=np.int64)
     response = np.asarray(response_ids, dtype=np.int64)
@@ -107,7 +107,7 @@ def sequence_logprob(params: ModelParams, config: ModelConfig, prompt_ids,
                          f"{config.max_context}")
     example = sft_example(np.concatenate([prompt, response]),
                           np.repeat([0, 1], [prompt.size, response.size]))
-    mean_nll = batch_loss(params, config, [example], adapters=adapters, fp8=fp8)
+    mean_nll = batch_loss(params, config, [example], adapters=adapters)
     return mul(mean_nll, -float(response.size))
 
 
@@ -124,12 +124,13 @@ class PreferencePair:
             raise ValueError("chosen and rejected responses must differ")
 
 
-def build_preference_pairs(records: Iterable[dict], language: str = "en") -> list[PreferencePair]:
+def build_preference_pairs(records: Iterable[dict]) -> list[PreferencePair]:
     """Rank-based pairs: chosen = lowest rank, rejected = highest, ties to
-    the first-listed answer; non-matching languages and all-equal ranks drop."""
+    the first-listed answer; records not in English ("lang" other than
+    "en") and all-equal ranks drop."""
     pairs: list[PreferencePair] = []
     for rec in records:
-        if rec.get("lang") != language:
+        if rec.get("lang") != "en":
             continue
         answers = rec["answers"]
         if len(answers) < 2:
@@ -217,19 +218,6 @@ class DpoPlan:
               stages=(lambda v: len(v) > 0, "at least one stage"))
 
 
-@contextmanager
-def frozen(tensors: Iterable[Tensor]):
-    """Turn requires_grad off on `tensors` inside the block, then restore it."""
-    saved = [(t, t.requires_grad) for t in tensors]
-    for t, _ in saved:
-        t.requires_grad = False
-    try:
-        yield
-    finally:
-        for t, flag in saved:
-            t.requires_grad = flag
-
-
 def dpo_train(params: ModelParams, config: ModelConfig, stages: Sequence[DpoStage],
               vocab: Vocab, plan: DpoPlan | None = None, log_path=None,
               adapters: dict[str, LoraAdapter] | None = None
@@ -248,35 +236,35 @@ def dpo_train(params: ModelParams, config: ModelConfig, stages: Sequence[DpoStag
         trainable[f"{name}.lora_a"] = adapter.a
         trainable[f"{name}.lora_b"] = adapter.b
     opt = AdamW(trainable, plan.hyper)
+    named = params.named_tensors()
+    base = ModelParams.build(len(params.layers), lambda name: Tensor(named[name].data))
     records: list[dict] = []
-    with frozen(params.named_tensors().values()):
-        for stage_idx, stage in enumerate(stages):
-            rendered = [render_pair(pair, vocab) for pair in stage.pairs]
-            if not rendered:
-                warnings.warn(f"stage {stage_idx} has no pairs", RuntimeWarning)
-                continue
-            with no_grad():
-                ref_cache = [tuple(float(sequence_logprob(params, config, prompt_ids,
-                                                          resp).item())
-                                   for resp in (chosen, rejected))
-                             for prompt_ids, chosen, rejected in rendered]
-            for epoch in range(stage.epochs):
-                rng = np.random.default_rng(plan.seed + 104729 * stage_idx + epoch)
-                order = rng.permutation(len(rendered))
-                for lo in range(0, len(order), plan.batch_size):
-                    plc, plr, rlc, rlr = [], [], [], []
-                    for i in order[lo:lo + plan.batch_size]:
-                        prompt_ids, chosen, rejected = rendered[i]
-                        plc.append(sequence_logprob(params, config, prompt_ids, chosen,
-                                                    adapters=adapters))
-                        plr.append(sequence_logprob(params, config, prompt_ids, rejected,
-                                                    adapters=adapters))
-                        rlc.append(ref_cache[i][0])
-                        rlr.append(ref_cache[i][1])
-                    loss = dpo_loss(plc, plr, rlc, rlr, beta=plan.beta)
-                    train_loss = optimize(loss, opt, stage.lr)
-                    log_step(records, {"step": opt.step_count, "stage": stage_idx,
-                                       "lr": stage.lr, "train_loss": train_loss}, log_path)
+    for stage_idx, stage in enumerate(stages):
+        rendered = [render_pair(pair, vocab) for pair in stage.pairs]
+        if not rendered:
+            warnings.warn(f"stage {stage_idx} has no pairs", RuntimeWarning)
+            continue
+        with no_grad():
+            ref_cache = [tuple(float(sequence_logprob(base, config, prompt_ids, resp).item())
+                               for resp in (chosen, rejected))
+                         for prompt_ids, chosen, rejected in rendered]
+        for epoch in range(stage.epochs):
+            rng = np.random.default_rng(plan.seed + 104729 * stage_idx + epoch)
+            order = rng.permutation(len(rendered))
+            for lo in range(0, len(order), plan.batch_size):
+                plc, plr, rlc, rlr = [], [], [], []
+                for i in order[lo:lo + plan.batch_size]:
+                    prompt_ids, chosen, rejected = rendered[i]
+                    plc.append(sequence_logprob(base, config, prompt_ids, chosen,
+                                                adapters=adapters))
+                    plr.append(sequence_logprob(base, config, prompt_ids, rejected,
+                                                adapters=adapters))
+                    rlc.append(ref_cache[i][0])
+                    rlr.append(ref_cache[i][1])
+                loss = dpo_loss(plc, plr, rlc, rlr, beta=plan.beta)
+                train_loss = optimize(loss, opt, stage.lr)
+                log_step(records, {"step": opt.step_count, "stage": stage_idx,
+                                   "lr": stage.lr, "train_loss": train_loss}, log_path)
     return adapters, records
 
 

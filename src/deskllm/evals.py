@@ -10,7 +10,8 @@ step, which the tests assert. Multiple choice forwards the rendered
 prompt once; each choice rewinds the cache to the end of the prompt and
 forwards only its own tokens. It stays off `batch_loss` for that reason:
 a full forward per choice would re-run the shared prefix, and its
-log-softmax is taken in f64 rather than in the model dtype.
+log-softmax is taken in f64 rather than in the model dtype. Evaluation
+reads plain weights; score a LoRA policy through `dpo.lora_merge`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .data import pack_sequences
 from .errors import ConfigError
-from .model import KVCache, LoraAdapter, ModelConfig, ModelParams, forward
+from .model import KVCache, ModelConfig, ModelParams, forward
 from .pretrain import batch_loss
 from .tensor import IGNORE_INDEX, no_grad
 from .tokenizer import Vocab, decode, encode
@@ -41,7 +42,7 @@ QUERY_SUFFIX = "\n"
 # perplexity
 
 def perplexity(params: ModelParams, config: ModelConfig, token_docs, seq_len: int,
-               eos_id: int, *, adapters=None, fp8: bool = False) -> float:
+               eos_id: int, *, fp8: bool = False) -> float:
     """exp(mean next-token NLL) over corpus windows packed like training.
 
     Each window is scored by its own batch_loss call, so the mean over
@@ -53,7 +54,7 @@ def perplexity(params: ModelParams, config: ModelConfig, token_docs, seq_len: in
     with no_grad():
         for inputs, targets in pack_sequences(token_docs, seq_len, eos_id):
             n = int(np.sum(targets != IGNORE_INDEX))
-            loss = batch_loss(params, config, [(inputs, targets)], adapters=adapters, fp8=fp8)
+            loss = batch_loss(params, config, [(inputs, targets)], fp8=fp8)
             total_nll += float(loss.item()) * n
             scored += n
     if scored == 0:
@@ -91,15 +92,14 @@ class EMTask:
             raise ValueError("need >= 1 gold alias")
 
 
-def few_shot_render(task: MCTask, k: int, delimiter: str = FEW_SHOT_DELIMITER,
-                    seed: int = 0) -> str:
+def few_shot_render(task: MCTask, k: int, seed: int = 0) -> str:
     """k seeded-shuffled exemplar blocks, then the query question."""
     if k < 0 or k > len(task.exemplars):
         raise ValueError(f"k={k} outside [0, {len(task.exemplars)}]")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(task.exemplars))[:k]
     blocks = [f"{task.exemplars[i][0]}\n{task.exemplars[i][1]}" for i in order]
-    return delimiter.join(blocks + [task.question])
+    return FEW_SHOT_DELIMITER.join(blocks + [task.question])
 
 
 def mc_pick(logprobs: Sequence[float], choices: Sequence[str]) -> tuple[int, int]:
@@ -114,9 +114,8 @@ def mc_pick(logprobs: Sequence[float], choices: Sequence[str]) -> tuple[int, int
 
 
 def mc_score(params, config, task: MCTask, vocab: Vocab | None = None, *, k: int = 0,
-             delimiter: str = FEW_SHOT_DELIMITER, seed: int = 0,
-             logprob_fn: Callable[[str, str], float] | None = None,
-             adapters=None, fp8: bool = False) -> dict:
+             seed: int = 0, logprob_fn: Callable[[str, str], float] | None = None,
+             fp8: bool = False) -> dict:
     """Score one task; `logprob_fn(prompt_text, choice_text)` overrides the
     model path (used for fixtures and statistical oracles).
 
@@ -124,14 +123,14 @@ def mc_score(params, config, task: MCTask, vocab: Vocab | None = None, *, k: int
     to the end of the prompt and forwards its tokens but the last; its
     first token is scored by the prompt's last row.
     """
-    prompt_text = few_shot_render(task, k, delimiter, seed) + QUERY_SUFFIX
+    prompt_text = few_shot_render(task, k, seed) + QUERY_SUFFIX
     if logprob_fn is not None:
         lps = [float(logprob_fn(prompt_text, c)) for c in task.choices]
     else:
         prompt_ids = encode(prompt_text, vocab)
         choice_ids = [encode(c, vocab) for c in task.choices]
-        session = DecodeSession(params, config, adapters=adapters, fp8=fp8,
-                                capacity=len(prompt_ids) + max(map(len, choice_ids)))
+        session = DecodeSession(params, config,
+                                len(prompt_ids) + max(map(len, choice_ids)), fp8=fp8)
         first = _log_softmax(session.step(prompt_ids)[-1:])
         lps = []
         for ids in choice_ids:
@@ -189,22 +188,19 @@ def apply_repetition_penalty(logits: np.ndarray, token_ids, penalty: float) -> n
 class DecodeSession(KVCache):
     """A KV cache bound to one model; `step` runs the cached `forward`.
 
-    capacity sizes the buffers to the request; a step that needs more
-    rows grows them, up to the context.
+    capacity sizes the buffers to the request; a step past it raises.
     """
 
-    def __init__(self, params: ModelParams, config: ModelConfig, *, capacity: int = 0,
-                 adapters: dict[str, LoraAdapter] | None = None, fp8: bool = False):
+    def __init__(self, params: ModelParams, config: ModelConfig, capacity: int, *,
+                 fp8: bool = False):
         super().__init__(config, capacity, params.dtype)
-        self.params, self.adapters, self.fp8 = params, adapters, fp8
+        self.params, self.fp8 = params, fp8
 
     def step(self, tokens) -> np.ndarray:
         """Process new tokens; returns their [t, vocab] logit rows."""
-        ids = np.asarray(tokens, dtype=np.int64).reshape(-1)
-        self.reserve(self.pos + ids.size)
         with no_grad():
-            return forward(self.params, ids, self.config, adapters=self.adapters,
-                           fp8=self.fp8, cache=self).data
+            return forward(self.params, np.asarray(tokens, dtype=np.int64).reshape(-1),
+                           self.config, fp8=self.fp8, cache=self).data
 
 
 def _pick_token(row: np.ndarray, seen_ids, temperature: float, penalty: float,
@@ -220,7 +216,7 @@ def _pick_token(row: np.ndarray, seen_ids, temperature: float, penalty: float,
 
 def generate(params: ModelParams, config: ModelConfig, prompt_ids, *, max_new: int,
              temperature: float = 0.0, repetition_penalty: float = 1.1, seed: int = 0,
-             eos_id: int | None = None, adapters=None, fp8: bool = False,
+             eos_id: int | None = None, fp8: bool = False,
              use_cache: bool = True) -> np.ndarray:
     """Decode up to max_new tokens; stops at eos or the context limit.
 
@@ -242,14 +238,14 @@ def generate(params: ModelParams, config: ModelConfig, prompt_ids, *, max_new: i
     rng = np.random.default_rng(seed)
     ids = prompt.tolist()
     generated: list[int] = []
-    session = DecodeSession(params, config, adapters=adapters, fp8=fp8,
-                            capacity=min(prompt.size + max_new, config.max_context))
+    session = DecodeSession(params, config, min(prompt.size + max_new, config.max_context),
+                            fp8=fp8)
     while len(generated) < max_new and len(ids) < config.max_context:
         if use_cache:
             row = session.step(ids[session.pos:])[-1]
         else:
             with no_grad():
-                row = forward(params, ids, config, adapters=adapters, fp8=fp8).data[-1]
+                row = forward(params, ids, config, fp8=fp8).data[-1]
         nxt = _pick_token(row.astype(np.float64), ids, temperature, repetition_penalty, rng)
         generated.append(nxt)
         ids.append(nxt)
@@ -260,12 +256,12 @@ def generate(params: ModelParams, config: ModelConfig, prompt_ids, *, max_new: i
 
 def generate_text(params, config, prompt: str, vocab: Vocab, *, max_new: int,
                   temperature: float = 0.0, repetition_penalty: float = 1.1,
-                  seed: int = 0, adapters=None, fp8: bool = False) -> str:
+                  seed: int = 0, fp8: bool = False) -> str:
     """Encode, generate with the vocab's eos as stop, and decode to text."""
     ids = np.array(encode(prompt, vocab), dtype=np.int64)
     out = generate(params, config, ids, max_new=max_new, temperature=temperature,
                    repetition_penalty=repetition_penalty, seed=seed,
-                   eos_id=vocab.eos_id, adapters=adapters, fp8=fp8)
+                   eos_id=vocab.eos_id, fp8=fp8)
     if vocab.eos_id is not None and out.size and out[-1] == vocab.eos_id:
         out = out[:-1]
     return decode(out, vocab).decode("utf-8", errors="replace")
@@ -294,14 +290,13 @@ def load_tasks(path) -> tuple[list[MCTask], list[EMTask]]:
 
 
 def evaluate_tasks(params, config, tasks: Sequence[MCTask], vocab: Vocab, *, k: int = 0,
-                   delimiter: str = FEW_SHOT_DELIMITER, seed: int = 0,
-                   logprob_fn=None, adapters=None, fp8: bool = False
+                   seed: int = 0, logprob_fn=None, fp8: bool = False
                    ) -> tuple[list[dict], dict]:
     """Per-task records plus aggregate accuracies; order-independent."""
     records = []
     for task in tasks:
-        result = mc_score(params, config, task, vocab, k=k, delimiter=delimiter,
-                          seed=seed, logprob_fn=logprob_fn, adapters=adapters, fp8=fp8)
+        result = mc_score(params, config, task, vocab, k=k, seed=seed,
+                          logprob_fn=logprob_fn, fp8=fp8)
         result["question"] = task.question
         records.append(result)
     if records:
@@ -314,8 +309,7 @@ def evaluate_tasks(params, config, tasks: Sequence[MCTask], vocab: Vocab, *, k: 
 
 
 def evaluate_em_tasks(params, config, tasks: Sequence[EMTask], vocab: Vocab, *,
-                      max_new: int = 32, repetition_penalty: float = 1.1,
-                      adapters=None, fp8: bool = False) -> tuple[list[dict], dict]:
+                      max_new: int = 32, fp8: bool = False) -> tuple[list[dict], dict]:
     """Greedy-generate an answer per question and score exact match.
 
     The prediction is the generated text up to its first newline.
@@ -323,9 +317,7 @@ def evaluate_em_tasks(params, config, tasks: Sequence[EMTask], vocab: Vocab, *,
     records = []
     for task in tasks:
         text = generate_text(params, config, task.question + QUERY_SUFFIX, vocab,
-                             max_new=max_new, temperature=0.0,
-                             repetition_penalty=repetition_penalty,
-                             adapters=adapters, fp8=fp8)
+                             max_new=max_new, temperature=0.0, fp8=fp8)
         prediction = text.split("\n", 1)[0].strip()
         records.append({"question": task.question, "prediction": prediction,
                         "em_correct": exact_match(prediction, task.answers)})

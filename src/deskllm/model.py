@@ -367,15 +367,6 @@ class KVCache:
     def capacity(self) -> int:
         return self.k_cache.shape[1]
 
-    def reserve(self, rows: int) -> None:
-        """Hold at least `rows` rows, growing at least twofold within the context."""
-        if rows > self.capacity:
-            rows = max(rows, min(2 * self.capacity, self.config.max_context))
-            grown = KVCache(self.config, rows, self.k_cache.dtype)
-            grown.k_cache[:, :self.pos] = self.k_cache[:, :self.pos]
-            grown.v_cache[:, :self.pos] = self.v_cache[:, :self.pos]
-            self.k_cache, self.v_cache = grown.k_cache, grown.v_cache
-
     def _store(self, layer: int, lo: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
         """Write new rows at pos; return views of rows [lo, pos + new rows)."""
         end = self.pos + k.shape[0]

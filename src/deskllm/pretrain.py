@@ -102,21 +102,19 @@ def batch_loss(params: ModelParams, config: ModelConfig, examples, *,
     return mul(reduce(add, losses), 1.0 / len(losses))
 
 
-def batch_grads(params: ModelParams, config: ModelConfig, batch, *,
-                fp8: bool = False) -> dict[str, np.ndarray]:
+def batch_grads(params: ModelParams, config: ModelConfig, batch) -> dict[str, np.ndarray]:
     """Gradients of the mean batch loss, leaving params' grads cleared."""
     named = params.named_tensors()
     for t in named.values():
         t.zero_grad()
-    batch_loss(params, config, batch, fp8=fp8).backward()
+    batch_loss(params, config, batch).backward()
     out = {name: t.grad.copy() for name, t in named.items()}
     for t in named.values():
         t.zero_grad()
     return out
 
 
-def shard_gradient_gap(params: ModelParams, config: ModelConfig, batch, k: int, *,
-                       fp8: bool = False) -> float:
+def shard_gradient_gap(params: ModelParams, config: ModelConfig, batch, k: int) -> float:
     """Max elementwise gap between whole-batch grads and the k-shard mean.
 
     This is the data-parallel correctness contract: averaging each
@@ -124,12 +122,12 @@ def shard_gradient_gap(params: ModelParams, config: ModelConfig, batch, k: int, 
     """
     if len(batch) % k != 0:
         raise ValueError(f"batch of {len(batch)} not divisible into {k} shards")
-    whole = batch_grads(params, config, batch, fp8=fp8)
+    whole = batch_grads(params, config, batch)
     size = len(batch) // k
     shard_sums: dict[str, np.ndarray] = {name: np.zeros_like(g) for name, g in whole.items()}
     for i in range(k):
         shard = batch[i * size:(i + 1) * size]
-        for name, g in batch_grads(params, config, shard, fp8=fp8).items():
+        for name, g in batch_grads(params, config, shard).items():
             shard_sums[name] += g
     return max(float(np.max(np.abs(whole[name] - shard_sums[name] / k)))
                for name in whole)

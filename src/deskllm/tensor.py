@@ -366,10 +366,10 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
     return _make(data, [(x, pull_x), (weight, pull_w)])
 
 
-def cross_entropy(logits: Tensor, targets, ignore_index: int = IGNORE_INDEX) -> Tensor:
+def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean negative log-softmax probability of `targets`.
 
-    Positions whose target equals `ignore_index` contribute nothing to
+    Positions whose target equals IGNORE_INDEX contribute nothing to
     the value or the gradient. Raises EmptyLossError if every position
     is ignored.
     """
@@ -378,7 +378,7 @@ def cross_entropy(logits: Tensor, targets, ignore_index: int = IGNORE_INDEX) -> 
     t = np.asarray(targets, dtype=np.int64)
     if t.ndim != 1 or t.shape[0] != logits.shape[0]:
         raise ShapeError(f"targets shape {t.shape} does not match logits rows {logits.shape[0]}")
-    scored = t != ignore_index
+    scored = t != IGNORE_INDEX
     n = int(scored.sum())
     if n == 0:
         raise EmptyLossError("cross_entropy: every position is ignored")

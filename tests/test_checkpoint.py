@@ -49,6 +49,13 @@ class TestRoundTrip:
         out = load_checkpoint(path).tensors["crafted"]
         assert out.tobytes() == crafted.tobytes()
 
+    def test_zero_dim_tensor_keeps_its_shape(self, tmp_path):
+        cfg, _ = tiny_model(seed=2)
+        path = tmp_path / "scalar.dkpt"
+        save_checkpoint(path, cfg, {"scalar": np.array(2.5)})
+        out = load_checkpoint(path).tensors["scalar"]
+        assert out.shape == () and out.dtype == np.float64 and float(out) == 2.5
+
     def test_save_is_deterministic(self, tmp_path):
         cfg, params = tiny_model(seed=3)
         p1, p2 = tmp_path / "a.dkpt", tmp_path / "b.dkpt"
@@ -187,19 +194,27 @@ class TestIntegrity:
             build_params(load_checkpoint(path))
 
 
-def _rewrite_config(path, drop=(), **fields) -> None:
-    """Remove the keys `drop` from the header's config, add `fields`, and
-    recompute the file's SHA-256."""
+def _rewrite_header(path, edit) -> None:
+    """Apply `edit` to the parsed header in place and recompute the
+    file's SHA-256."""
     raw = path.read_bytes()
     hlen = struct.unpack("<Q", raw[8:16])[0]
     header = json.loads(raw[16:16 + hlen])
-    for key in drop:
-        del header["config"][key]
-    header["config"].update(fields)
+    edit(header)
     header_json = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = raw[16 + hlen:-32]
     path.write_bytes(raw[:8] + struct.pack("<Q", len(header_json)) + header_json + payload
                      + hashlib.sha256(header_json + payload).digest())
+
+
+def _rewrite_config(path, drop=(), **fields) -> None:
+    """Remove the keys `drop` from the header's config and add `fields`."""
+    def edit(header):
+        for key in drop:
+            del header["config"][key]
+        header["config"].update(fields)
+
+    _rewrite_header(path, edit)
 
 
 class TestLegacyHeader:
@@ -239,6 +254,34 @@ class TestBadHeaderConfig:
         save_model_checkpoint(path, params, cfg)
         _rewrite_config(path, drop=drop, **fields)
         with pytest.raises(CheckpointError, match="bad.dkpt"):
+            load_checkpoint(path)
+
+
+class TestBadTensorTable:
+    """A tensor table entry that does not describe its bytes is a
+    CheckpointError naming the file and the tensor."""
+
+    @pytest.mark.parametrize("edit, tensor", [
+        (lambda t: t[0].pop("offset"), "token_embedding"),
+        (lambda t: t[0].pop("name"), "#0"),
+        (lambda t: t[0].update(offset=-8), "token_embedding"),
+        (lambda t: t[0].update(offset=1.5), "token_embedding"),
+        (lambda t: t[0].update(offset=True), "token_embedding"),
+        (lambda t: t[0].update(nbytes=-8), "token_embedding"),
+        (lambda t: t[0].update(nbytes=t[0]["nbytes"] - 8), "token_embedding"),
+        (lambda t: t[0].update(shape=[1]), "token_embedding"),
+        (lambda t: t[0].update(shape=[-1, 4]), "token_embedding"),
+        (lambda t: t[0].update(shape="16"), "token_embedding"),
+        (lambda t: t[1].update(name=t[0]["name"]), "token_embedding"),
+    ], ids=["missing_key", "missing_name", "negative_offset", "float_offset", "bool_offset",
+            "negative_nbytes", "nbytes_short_of_shape", "shape_short_of_nbytes",
+            "negative_dim", "shape_not_a_list", "repeated_name"])
+    def test_rejected(self, tmp_path, edit, tensor):
+        cfg, params = tiny_model(seed=13)
+        path = tmp_path / "bad.dkpt"
+        save_model_checkpoint(path, params, cfg)
+        _rewrite_header(path, lambda header: edit(header["tensors"]))
+        with pytest.raises(CheckpointError, match=f"bad.dkpt: tensor '{tensor}'"):
             load_checkpoint(path)
 
 

@@ -395,6 +395,23 @@ class TestDpoTrain:
         assert {n: t.requires_grad for n, t in named.items()} == flags
         assert all(t.grad is None for t in named.values())
 
+    def test_base_requires_grad_untouched_during_training(self, monkeypatch):
+        cfg, params = self.make_model(seed=31)
+        named = params.named_tensors()
+        named["final_norm"].requires_grad = False
+        flags = {n: t.requires_grad for n, t in named.items()}
+        seen = []
+        real_optimize = dpo_module.optimize
+
+        def spy(loss, opt, lr):
+            seen.append({n: t.requires_grad for n, t in named.items()})
+            return real_optimize(loss, opt, lr)
+
+        monkeypatch.setattr(dpo_module, "optimize", spy)
+        dpo_train(params, cfg, [DpoStage(toy_pairs(), lr=1e-3, epochs=2)], CHAT_VOCAB,
+                  DpoPlan(seed=8))
+        assert len(seen) > 1 and all(step == flags for step in seen)
+
     def test_rerun_is_deterministic(self):
         stages_lr = 1e-3
         runs = []

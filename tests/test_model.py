@@ -522,7 +522,3 @@ class TestKVCache:
         cache = KVCache(cfg, 2, params.dtype)
         with no_grad(), pytest.raises(ValueError):
             forward(params, [1, 2, 3], cfg, cache=cache)
-        cache.reserve(3)
-        assert cache.capacity == 4  # grows by doubling, within the context
-        with pytest.raises(ValueError):
-            cache.reserve(9)
