@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import PATH, POSITIVE, check, count, number
 from .model import ModelConfig, ModelParams
-from .optim import AdamW, LrSchedule, OptimHyper, cosine_lr
+from .optim import AdamW, LrSchedule, cosine_lr
 from .pretrain import batch_loss, log_step, no_decay_names, optimize
 from .tensor import IGNORE_INDEX, Tensor
 from .tokenizer import Vocab, encode
@@ -129,7 +129,6 @@ class SftPlan:
     epochs: int = 1
     warmup_fraction: float = 0.05
     min_lr_fraction: float = 0.1
-    hyper: OptimHyper = field(default_factory=OptimHyper)
     seed: int = 0
     init_checkpoint: str | None = None
 
@@ -160,7 +159,7 @@ def run_sft(params: ModelParams, config: ModelConfig,
         total_tokens=float(total_tokens),
         peak_lr=plan.lr,
         min_lr=plan.lr * plan.min_lr_fraction)
-    opt = AdamW(params.named_tensors(), plan.hyper, no_decay=no_decay_names(params))
+    opt = AdamW(params.named_tensors(), no_decay=no_decay_names(params))  # default OptimHyper
     records: list[dict] = []
     tokens_seen = 0
     for epoch in range(plan.epochs):

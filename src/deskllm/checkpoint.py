@@ -94,10 +94,19 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: truncated header")
     if hashlib.sha256(raw[16:-32]).digest() != raw[-32:]:
         raise CheckpointError(f"{path}: checksum mismatch")
-    header = json.loads(bytes(raw[16:16 + hlen]))
+    try:
+        header = json.loads(bytes(raw[16:16 + hlen]))
+    except ValueError as e:  # not UTF-8 or not JSON
+        raise CheckpointError(f"{path}: header is not JSON: {e}") from e
+    if not (isinstance(header, dict) and isinstance(header.get("tensors"), list)
+            and isinstance(header.get("config"), dict) and isinstance(header.get("extra", {}), dict)):
+        raise CheckpointError(f"{path}: header needs a tensors list, a config object "
+                              "and, if any, an extra object")
     start, payload_len = 16 + hlen, len(raw) - 48 - hlen
     tensors: dict[str, np.ndarray] = {}
     for i, e in enumerate(header["tensors"]):
+        if not isinstance(e, dict):
+            raise CheckpointError(f"{path}: tensor #{i} is not an object")
         where = f"{path}: tensor {e.get('name', f'#{i}')!r}"
         missing = [key for key in _ENTRY_KEYS if key not in e]
         if missing:
@@ -145,12 +154,13 @@ def save_model_checkpoint(path, params: ModelParams, config: ModelConfig, *,
 
 
 def build_params(ckpt: Checkpoint) -> ModelParams:
-    """Reconstruct trainable parameters from a loaded checkpoint."""
+    """Trainable parameters that take over the checkpoint's arrays, uncopied
+    (load_checkpoint made them), so training them changes `ckpt.tensors`."""
 
     def grab(name: str) -> Tensor:
         if name not in ckpt.tensors:
             raise CheckpointError(f"checkpoint is missing tensor {name!r}")
-        return Tensor(ckpt.tensors[name].copy(), requires_grad=True)
+        return Tensor(ckpt.tensors[name], requires_grad=True)
 
     return ModelParams.build(ckpt.config.n_layers, grab)
 

@@ -1,17 +1,17 @@
 """Preference alignment: LoRA adapters, the DPO loss, and its training loop.
 
-The policy is the base model plus low-rank adapters on every attention
-and MLP linear; the reference is the base alone. Both read the base as
-constants that share the caller's arrays and need no grad, so it is
-frozen by construction, costs no copy and the caller's tensors are never
-touched. Reference log-probs are computed once per pair and cached.
+The policy reads `model.lora_weights`, the base with a low-rank adapter
+on every attention and MLP linear, which is what `lora_merge` stores; the
+reference is the base alone. Both read the base as constants that share
+the caller's arrays and need no grad, so it is frozen by construction and
+never copied. Reference log-probs are computed once per pair and cached.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from pathlib import Path
 from typing import ClassVar, Iterable, Sequence
@@ -21,13 +21,14 @@ import numpy as np
 from .chat import (Conversation, END_MARKER, ROLE_MARKERS, Turn, _marker_ids,
                    render_chat, sft_example)
 from .errors import PATH, POSITIVE, ConfigError, check, count, number
-from .model import LoraAdapter, ModelConfig, ModelParams
+from .model import LoraAdapter, ModelConfig, ModelParams, lora_weights
 from .optim import AdamW, OptimHyper
 from .pretrain import batch_loss, log_step, optimize
 from .tensor import Tensor, add, log_sigmoid, mul, neg, no_grad
 from .tokenizer import Vocab, encode
 
 LORA_INIT_STD = 0.02
+DPO_HYPER = OptimHyper(weight_decay=0.0)  # adapters are not decayed
 
 
 def lora_target_names(params: ModelParams) -> list[str]:
@@ -55,24 +56,10 @@ def init_lora_adapters(params: ModelParams, rank: int = 4, alpha: float = 16.0,
 
 
 def lora_merge(params: ModelParams, adapters: dict[str, LoraAdapter]) -> ModelParams:
-    """New parameters with each adapter folded into its base weight."""
-    named = params.named_tensors()
-    unknown = set(adapters) - set(named)
-    if unknown:
-        raise ConfigError(f"adapters target unknown tensors: {sorted(unknown)}")
-
-    def fold(name: str) -> Tensor:
-        base = named[name].data
-        adapter = adapters.get(name)
-        if adapter is None:
-            return Tensor(base.copy())
-        if adapter.a.shape[0] != base.shape[0] or adapter.b.shape[1] != base.shape[1]:
-            raise ConfigError(f"adapter shape mismatch on {name}")
-        delta = adapter.scale * (adapter.a.data.astype(np.float64)
-                                 @ adapter.b.data.astype(np.float64))
-        return Tensor((base.astype(np.float64) + delta).astype(base.dtype))
-
-    return ModelParams.build(len(params.layers), fold)
+    """New parameters holding lora_weights(params, adapters) as plain arrays."""
+    with no_grad():
+        merged = lora_weights(params, adapters).named_tensors()
+    return ModelParams.build(len(params.layers), lambda name: Tensor(merged[name].data.copy()))
 
 
 def dpo_loss(policy_lp_c, policy_lp_r, ref_lp_c, ref_lp_r, beta: float = 0.2) -> Tensor:
@@ -206,7 +193,6 @@ class DpoPlan:
     rank: int = 4
     alpha: float = 16.0
     batch_size: int = 2
-    hyper: OptimHyper = field(default_factory=lambda: OptimHyper(weight_decay=0.0))
     seed: int = 0
     stages: tuple[PreferenceStage, ...] = (PreferenceStage(None, lr=1e-5),)
     init_checkpoint: str | None = None
@@ -231,11 +217,8 @@ def dpo_train(params: ModelParams, config: ModelConfig, stages: Sequence[DpoStag
     if adapters is None:
         adapters = init_lora_adapters(params, rank=plan.rank, alpha=plan.alpha,
                                       seed=plan.seed)
-    trainable: dict[str, Tensor] = {}
-    for name, adapter in adapters.items():
-        trainable[f"{name}.lora_a"] = adapter.a
-        trainable[f"{name}.lora_b"] = adapter.b
-    opt = AdamW(trainable, plan.hyper)
+    opt = AdamW({f"{name}.lora_{part}": getattr(adapter, part)
+                 for name, adapter in adapters.items() for part in "ab"}, DPO_HYPER)
     named = params.named_tensors()
     base = ModelParams.build(len(params.layers), lambda name: Tensor(named[name].data))
     records: list[dict] = []

@@ -6,6 +6,7 @@ sliding-window causal masking, grouped-query attention, and a gated
 (silu) MLP. No biases and no dropout anywhere; neither is configurable.
 Only this module knows the parameter layout: `LAYER_KEYS`, `param_shapes`
 and `ModelParams.build`, which makes tensors in `named_tensors` order.
+LoRA only reparametrizes weights (`lora_weights`); blocks read plain ones.
 """
 
 from __future__ import annotations
@@ -199,23 +200,32 @@ class LoraAdapter:
         return self.alpha / self.rank
 
 
-def linear(x: Tensor, w: Tensor, *, fp8: bool = False, adapter: LoraAdapter | None = None) -> Tensor:
-    """x @ w, optionally with E4M3-rounded operands and a low-rank adapter.
+def lora_weights(params: ModelParams, adapters: dict[str, LoraAdapter]) -> ModelParams:
+    """The one LoRA formula: each adapted weight becomes w + scale * (a @ b),
+    built from graph ops so gradients reach a and b; every other weight is
+    the caller's own tensor. The adapter forward and lora_merge read it."""
+    named = params.named_tensors()
+    unknown = set(adapters) - set(named)
+    if unknown:
+        raise ConfigError(f"adapters target unknown tensors: {sorted(unknown)}")
 
-    The adapter path reads the unquantized activations and always runs in
-    full precision.
-    """
-    if fp8:
-        y = T.matmul(fp8_emulate(x), fp8_emulate(w))
-    else:
-        y = T.matmul(x, w)
-    if adapter is not None:
+    def weight(name: str) -> Tensor:
+        w, adapter = named[name], adapters.get(name)
+        if adapter is None:
+            return w
         if adapter.a.shape[0] != w.shape[0] or adapter.b.shape[1] != w.shape[1]:
-            raise ShapeError(
-                f"adapter shapes {adapter.a.shape} @ {adapter.b.shape} do not fit weight {w.shape}")
-        delta = T.matmul(T.matmul(x, adapter.a), adapter.b)
-        y = T.add(y, T.mul(delta, adapter.scale))
-    return y
+            raise ShapeError(f"adapter shapes {adapter.a.shape} @ {adapter.b.shape} "
+                             f"do not fit weight {name} {w.shape}")
+        return T.add(w, T.mul(T.matmul(adapter.a, adapter.b), adapter.scale))
+
+    return ModelParams.build(len(params.layers), weight)
+
+
+def linear(x: Tensor, w: Tensor, *, fp8: bool = False) -> Tensor:
+    """x @ w, optionally with E4M3-rounded operands."""
+    if fp8:
+        return T.matmul(fp8_emulate(x), fp8_emulate(w))
+    return T.matmul(x, w)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +287,7 @@ def attention_mask(seq_len: int, window: int | None = None, dtype="f32", *,
 # forward pass
 
 def gqa_attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, mask: Tensor,
-                  config: ModelConfig, *, fp8: bool = False,
-                  wo_adapter: LoraAdapter | None = None) -> Tensor:
+                  config: ModelConfig, *, fp8: bool = False) -> Tensor:
     """Grouped-query scaled dot-product attention with output projection.
 
     q is [Tq, hidden]; k and v are [Tk, kv_dim] and the mask is [Tq, Tk]
@@ -303,12 +312,11 @@ def gqa_attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, mask: Tensor,
     vh = T.reshape(T.transpose(T.reshape(v, (t_keys, n_kv, d)), (1, 0, 2)), (n_kv, 1, t_keys, d))
     ctx = T.attention(qh, kh, vh, mask, 1.0 / math.sqrt(d))
     ctx = T.reshape(T.transpose(T.reshape(ctx, (n_h, t_len, d)), (1, 0, 2)), (t_len, n_h * d))
-    return linear(ctx, wo, fp8=fp8, adapter=wo_adapter)
+    return linear(ctx, wo, fp8=fp8)
 
 
 def decoder_block(x: Tensor, layer: LayerParams, mask: Tensor, config: ModelConfig,
-                  positions=None, *, fp8: bool = False, adapters=None,
-                  prefix: str = "", rope=None, kv=None) -> Tensor:
+                  positions=None, *, fp8: bool = False, rope=None, kv=None) -> Tensor:
     """Pre-norm attention and gated-MLP sublayers around residual adds.
 
     rope is rope_tables for positions when already computed. kv, given a
@@ -319,13 +327,10 @@ def decoder_block(x: Tensor, layer: LayerParams, mask: Tensor, config: ModelConf
     if positions is None:
         positions = np.arange(t_len)
 
-    def adapter(key: str):
-        return (adapters or {}).get(f"{prefix}.{key}" if prefix else key)
-
     h = T.rms_norm(x, layer.norm_attn, config.norm_eps)
-    q = linear(h, layer.wq, fp8=fp8, adapter=adapter("attn.wq"))
-    k = linear(h, layer.wk, fp8=fp8, adapter=adapter("attn.wk"))
-    v = linear(h, layer.wv, fp8=fp8, adapter=adapter("attn.wv"))
+    q = linear(h, layer.wq, fp8=fp8)
+    k = linear(h, layer.wk, fp8=fp8)
+    v = linear(h, layer.wv, fp8=fp8)
     d = config.head_dim
     q = T.reshape(rope_rotate(T.reshape(q, (t_len, config.n_heads, d)),
                               positions, config.rope_theta, tables=rope),
@@ -335,14 +340,13 @@ def decoder_block(x: Tensor, layer: LayerParams, mask: Tensor, config: ModelConf
                   (t_len, config.kv_dim))
     if kv is not None:
         k, v = kv(k, v)
-    attn = gqa_attention(q, k, v, layer.wo, mask, config,
-                         fp8=fp8, wo_adapter=adapter("attn.wo"))
+    attn = gqa_attention(q, k, v, layer.wo, mask, config, fp8=fp8)
     x = T.add(x, attn)
 
     h = T.rms_norm(x, layer.norm_mlp, config.norm_eps)
-    gate = T.silu(linear(h, layer.w_gate, fp8=fp8, adapter=adapter("mlp.w_gate")))
-    up = linear(h, layer.w_up, fp8=fp8, adapter=adapter("mlp.w_up"))
-    y = linear(T.mul(gate, up), layer.w_down, fp8=fp8, adapter=adapter("mlp.w_down"))
+    gate = T.silu(linear(h, layer.w_gate, fp8=fp8))
+    up = linear(h, layer.w_up, fp8=fp8)
+    y = linear(T.mul(gate, up), layer.w_down, fp8=fp8)
     return T.add(x, y)
 
 
@@ -381,7 +385,8 @@ def forward(params: ModelParams, tokens, config: ModelConfig, *, fp8: bool = Fal
 
     fp8 rounds attention/MLP linear operands to E4M3 at forward time;
     the embedding, lm_head, and norm weights are never rounded.
-    adapters maps tensor names (as in named_tensors) to LoraAdapter.
+    adapters maps tensor names (as in named_tensors) to LoraAdapter; the
+    forward reads lora_weights(params, adapters), as lora_merge stores.
 
     With a cache (only under no_grad), the tokens continue the cached
     ones: they sit at positions cache.pos.., attend to the cached keys
@@ -397,6 +402,8 @@ def forward(params: ModelParams, tokens, config: ModelConfig, *, fp8: bool = Fal
     if ids.min() < 0 or ids.max() >= config.vocab_size:
         raise ValueError(
             f"token id out of range [0, {config.vocab_size}): min={ids.min()}, max={ids.max()}")
+    if adapters:
+        params = lora_weights(params, adapters)
     start = 0
     if cache is not None:
         if T.grad_enabled():
@@ -412,8 +419,7 @@ def forward(params: ModelParams, tokens, config: ModelConfig, *, fp8: bool = Fal
     first_key = start + t_len - mask.shape[-1]  # the mask's columns end at the last query
     for i, layer in enumerate(params.layers):
         kv = None if cache is None else functools.partial(cache._store, i, first_key)
-        x = decoder_block(x, layer, mask, config, positions, fp8=fp8, adapters=adapters,
-                          prefix=f"layers.{i}", rope=rope, kv=kv)
+        x = decoder_block(x, layer, mask, config, positions, fp8=fp8, rope=rope, kv=kv)
     if cache is not None:
         cache.pos = start + t_len
     x = T.rms_norm(x, params.final_norm, config.norm_eps)

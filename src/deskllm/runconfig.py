@@ -7,9 +7,9 @@ so a config directory can be moved or copied as a unit.
 
 Each section of the file maps to one frozen dataclass. That dataclass
 holds the section's defaults and checks its values when it is built. The
-section accepts exactly its fields, less `hyper` (optimizer constants each
-plan fixes) and those the run fills in: the run `seed` in `pretrain`,
-`sft` and `dpo`, and the top-level `fp8` in `pretrain`::
+section accepts exactly its fields, less those the run fills in: the run
+`seed` in `pretrain`, `sft` and `dpo`, and the top-level `fp8` in
+`pretrain`::
 
     run_dir   str   directory owning this run's outputs (required)
     seed      int   master seed, >= 0 (required)
@@ -48,7 +48,6 @@ from .optim import LrSchedule, OptimHyper
 from .pretrain import TrainPlan
 from .tokenizer import Vocab, load_vocab
 
-FIXED = {"hyper"}
 PRETRAIN_HYPER = {"weight_decay", "clip_norm"}
 TOKEN_ID = count(nullable=True)
 
@@ -179,12 +178,11 @@ def _build(cls, section, where: str, out: list[str], base_dir: Path,
     """`cls` built from a config section and `given`, or None once every
     problem is in `out`.
 
-    The section may set each field of `cls` except `hyper` (optimizer
-    constants each plan fixes) and the fields in `given`, such as the run
-    seed. A field without a default must be set and not null; the files
-    that `cls.inputs` names must exist; `stage` builds a `stages` list. A
-    None in `given` is a part that failed to build: the section is still
-    checked, but `cls` is not built.
+    The section may set each field of `cls` except the fields in `given`,
+    such as the run seed. A field without a default must be set and not
+    null; the files that `cls.inputs` names must exist; `stage` builds a
+    `stages` list. A None in `given` is a part that failed to build: the
+    section is still checked, but `cls` is not built.
     """
     if not isinstance(section, dict):
         out.append(f"{where}: expected an object, got {type(section).__name__}")
@@ -193,7 +191,7 @@ def _build(cls, section, where: str, out: list[str], base_dir: Path,
         section = dict(section)
         given["stages"] = _build_stages(section.pop("stages"), stage,
                                         f"{where}.stages", out, base_dir)
-    known = _names(cls) - FIXED - set(given)
+    known = _names(cls) - set(given)
     out.extend(f"{where}.{key}: unknown key" for key in sorted(set(section) - known))
     missing = [f.name for f in fields(cls) if f.name in known
                and f.default is MISSING and f.default_factory is MISSING

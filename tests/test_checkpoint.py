@@ -194,6 +194,16 @@ class TestIntegrity:
             build_params(load_checkpoint(path))
 
 
+def _replace_header(path, header_json: bytes) -> None:
+    """Put `header_json` in place of the file's header bytes and recompute
+    its SHA-256."""
+    raw = path.read_bytes()
+    hlen = struct.unpack("<Q", raw[8:16])[0]
+    payload = raw[16 + hlen:-32]
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(header_json)) + header_json + payload
+                     + hashlib.sha256(header_json + payload).digest())
+
+
 def _rewrite_header(path, edit) -> None:
     """Apply `edit` to the parsed header in place and recompute the
     file's SHA-256."""
@@ -201,10 +211,7 @@ def _rewrite_header(path, edit) -> None:
     hlen = struct.unpack("<Q", raw[8:16])[0]
     header = json.loads(raw[16:16 + hlen])
     edit(header)
-    header_json = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = raw[16 + hlen:-32]
-    path.write_bytes(raw[:8] + struct.pack("<Q", len(header_json)) + header_json + payload
-                     + hashlib.sha256(header_json + payload).digest())
+    _replace_header(path, json.dumps(header, sort_keys=True).encode("utf-8"))
 
 
 def _rewrite_config(path, drop=(), **fields) -> None:
@@ -253,6 +260,39 @@ class TestBadHeaderConfig:
         path = tmp_path / "bad.dkpt"
         save_model_checkpoint(path, params, cfg)
         _rewrite_config(path, drop=drop, **fields)
+        with pytest.raises(CheckpointError, match="bad.dkpt"):
+            load_checkpoint(path)
+
+
+class TestBadHeaderShape:
+    """A header that is not an object with a tensors list, a config object
+    and an optional extra object is a CheckpointError naming the file."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.pop("tensors"),
+        lambda h: h.update(tensors={e["name"]: e for e in h["tensors"]}),
+        lambda h: h.update(tensors=3),
+        lambda h: h["tensors"].__setitem__(0, "token_embedding"),
+        lambda h: h.update(config=list(h["config"].values())),
+        lambda h: h.pop("config"),
+        lambda h: h.update(extra=[]),
+    ], ids=["no_tensors", "tensors_object", "tensors_number", "entry_not_object",
+            "config_list", "no_config", "extra_list"])
+    def test_rejected(self, tmp_path, edit):
+        cfg, params = tiny_model(seed=14)
+        path = tmp_path / "bad.dkpt"
+        save_model_checkpoint(path, params, cfg)
+        _rewrite_header(path, edit)
+        with pytest.raises(CheckpointError, match="bad.dkpt"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("header_json", [b"[]", b"{tensors: []}", b"\xff{}"],
+                             ids=["list", "not_json", "not_utf8"])
+    def test_raw_header_rejected(self, tmp_path, header_json):
+        cfg, params = tiny_model(seed=14)
+        path = tmp_path / "bad.dkpt"
+        save_model_checkpoint(path, params, cfg)
+        _replace_header(path, header_json)
         with pytest.raises(CheckpointError, match="bad.dkpt"):
             load_checkpoint(path)
 

@@ -14,7 +14,7 @@ from deskllm.dpo import (DpoPlan, DpoStage, PreferencePair, build_preference_pai
                          sequence_logprob, two_stage_plan)
 from deskllm import dpo as dpo_module
 from deskllm.errors import ConfigError
-from deskllm.model import forward, linear
+from deskllm.model import forward, linear, lora_weights
 from deskllm.pretrain import TrainingDiverged
 from deskllm.tensor import Tensor, no_grad
 
@@ -183,7 +183,7 @@ class TestLoraAdapters:
         w = params.layers[0].wq
         with no_grad():
             base = linear(x, w).data
-            adapted = linear(x, w, adapter=adapters["layers.0.attn.wq"]).data
+            adapted = linear(x, lora_weights(params, adapters).layers[0].wq).data
         assert np.array_equal(base, adapted)
 
     def test_zero_b_merge_equals_base(self):
@@ -194,16 +194,20 @@ class TestLoraAdapters:
             assert np.array_equal(t.data, base_named[name].data)
 
     def test_merged_vs_adapter_forward(self):
-        cfg, params = tiny_model(seed=10, vocab_size=16)
-        adapters = init_lora_adapters(params, seed=4)
-        rng = np.random.default_rng(5)
-        for adapter in adapters.values():
-            adapter.b.data[...] = rng.normal(0, 0.05, size=adapter.b.shape)
-        ids = np.array([1, 5, 2, 9, 3])
-        with no_grad():
-            unmerged = forward(params, ids, cfg, adapters=adapters).data
-            merged = forward(lora_merge(params, adapters), ids, cfg).data
-        assert np.max(np.abs(unmerged - merged)) < 1e-10
+        # One formula, so the adapter forward equals the merged forward bit
+        # for bit at either dtype, also when fp8 rounds the adapted weights.
+        for dtype in ("f32", "f64"):
+            cfg, params = tiny_model(seed=10, dtype=dtype, vocab_size=16)
+            adapters = init_lora_adapters(params, seed=4)
+            rng = np.random.default_rng(5)
+            for adapter in adapters.values():
+                adapter.b.data[...] = rng.normal(0, 0.05, size=adapter.b.shape)
+            merged_params = lora_merge(params, adapters)
+            ids = np.array([1, 5, 2, 9, 3])
+            for fp8 in (False, True):
+                unmerged = forward(params, ids, cfg, fp8=fp8, adapters=adapters).data
+                merged = forward(merged_params, ids, cfg, fp8=fp8).data
+                assert np.array_equal(unmerged, merged), (dtype, fp8)
 
     def test_merge_leaves_input_params_untouched(self):
         cfg, params = tiny_model(seed=11)

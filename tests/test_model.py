@@ -21,7 +21,7 @@ from deskllm.model import (
     forward,
     gqa_attention,
     init_params,
-    linear,
+    lora_weights,
     param_shapes,
     rope_rotate,
 )
@@ -471,16 +471,40 @@ class TestForward:
         merged = forward(params, ids, cfg).data
         np.testing.assert_allclose(adapted, merged, rtol=0, atol=1e-12)
 
+    def test_adapter_gradcheck(self):
+        cfg, params = tiny_model(seed=13, hidden_size=8, n_heads=2, n_kv_heads=1,
+                                 intermediate_size=12, vocab_size=16, sliding_window=2)
+        rng = np.random.default_rng(14)
+        named = params.named_tensors()
+        adapters, leaves = {}, {}
+        for name in named:
+            if ".attn." in name or ".mlp." in name:
+                d_in, d_out = named[name].shape
+                adapters[name] = LoraAdapter(
+                    a=Tensor(rng.normal(0, 0.3, size=(d_in, 2)), requires_grad=True),
+                    b=Tensor(rng.normal(0, 0.3, size=(2, d_out)), requires_grad=True),
+                    alpha=4.0)
+                leaves[f"{name}.a"] = adapters[name].a
+                leaves[f"{name}.b"] = adapters[name].b
+        ids = [3, 1, 4, 1, 5]
+        targets = [1, 4, 1, 5, 9]
+        errs = check_grad(
+            lambda: cross_entropy(forward(params, ids, cfg, adapters=adapters), targets),
+            leaves)
+        assert len(errs) == 14 * cfg.n_layers
+        assert max(errs.values()) < 1e-3
+
 
 class TestLinear:
     def test_adapter_shape_mismatch(self):
+        cfg, params = tiny_model(seed=15)
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(2, 4)))
-        w = Tensor(rng.normal(size=(4, 6)))
-        bad = LoraAdapter(a=Tensor(rng.normal(size=(5, 2))),
-                          b=Tensor(rng.normal(size=(2, 6))), alpha=16.0)
-        with pytest.raises(ShapeError):
-            linear(x, w, adapter=bad)
+        h = cfg.hidden_size
+        for a_shape, b_shape in (((h + 1, 2), (2, h)), ((h, 2), (2, h - 1))):
+            bad = LoraAdapter(a=Tensor(rng.normal(size=a_shape)),
+                              b=Tensor(rng.normal(size=b_shape)), alpha=16.0)
+            with pytest.raises(ShapeError):
+                lora_weights(params, {"layers.0.attn.wq": bad})
 
     def test_scale_is_alpha_over_rank(self):
         adapter = LoraAdapter(a=Tensor(np.zeros((4, 4))), b=Tensor(np.zeros((4, 4))),

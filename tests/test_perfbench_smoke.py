@@ -5,8 +5,9 @@ API (`Trainer.run`, `run_sft`, `dpo_train`, `evals.generate`, ...), so a
 change that breaks that API fails here instead of in a benchmark run.
 Operations are counted by the benchmark's own `Ops`. A traced episode
 must also yield every per-layer metric, each a finite number that JSON
-can carry. One traced benchmark run, end to end in a subprocess, must
-print a strict-JSON result line that carries every metric.
+can carry. A traced benchmark run of pretrain_mid and of chat_small, end
+to end in a subprocess, must print a strict-JSON result line that
+carries every metric.
 """
 
 import json
@@ -59,11 +60,13 @@ def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name} in the result line")
 
 
-def test_traced_run_prints_every_metric():
+# eval_mid is left out: its traced run takes about 8 s.
+@pytest.mark.parametrize("name", ["pretrain_mid", "chat_small"])
+def test_traced_run_prints_every_metric(name):
     # --seconds below ~0.3 ends with "no episode completed": the reference
     # kernel runs before the first episode.
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "pretrain_mid", "--seed", "1",
+        [sys.executable, "perfbench/run.py", "--workload", name, "--seed", "1",
          "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
