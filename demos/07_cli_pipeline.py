@@ -17,8 +17,7 @@ import numpy as np
 
 from deskllm.chat import Conversation, Turn, chat_vocab, save_conversations
 from deskllm.cli import main
-from deskllm.data import Document, save_corpus
-from deskllm.dpo import save_preference_records
+from deskllm.data import Document, save_corpus, write_jsonl
 from deskllm.tokenizer import save_vocab
 
 base = Path(tempfile.mkdtemp(prefix="deskllm_demo_"))
@@ -39,7 +38,7 @@ save_conversations(
      for w in words],
     base / "sft.jsonl")
 
-save_preference_records(
+write_jsonl(
     [{"lang": "en",
       "prompt_turns": [{"role": "user", "text": f"pick {a} or {b}"}],
       "answers": [{"text": a, "rank": 0}, {"text": b, "rank": 1}]}
@@ -52,8 +51,7 @@ tasks = [
     {"question": "warm or cold", "choices": ["warm", "cold"], "gold": 1},
     {"question": "say ember", "answers": ["ember"]},
 ]
-(base / "tasks.jsonl").write_text(
-    "\n".join(json.dumps(t) for t in tasks) + "\n", encoding="utf-8")
+write_jsonl(tasks, base / "tasks.jsonl")
 
 config = {
     "run_dir": "run",

@@ -15,11 +15,11 @@ from .checkpoint import (Checkpoint, inspect_checkpoint, load_checkpoint,
                          load_model, save_checkpoint, save_model_checkpoint)
 from .chat import Conversation, SftPlan, Turn, render_chat, run_sft, sft_loss
 from .data import DataStage, Document, curriculum_stages, pack_sequences, quality_filter
-from .dpo import DpoPlan, DpoStage, LoraAdapter, dpo_loss, dpo_train, init_lora_adapters, lora_merge
+from .dpo import DpoPlan, DpoStage, dpo_loss, dpo_train, init_lora_adapters, lora_merge
 from .errors import ConfigError
 from .evals import generate, generate_text, mc_score, perplexity
 from .fp8 import fp8_e4m3
-from .model import ModelConfig, ModelParams, count_params, forward, init_params
+from .model import LoraAdapter, ModelConfig, ModelParams, count_params, forward, init_params
 from .optim import AdamW, LrSchedule, OptimHyper, clip_grad_norm, cosine_lr
 from .pretrain import TrainPlan, Trainer, batch_loss
 from .runconfig import RunConfig, RunConfigError, load_run_config

@@ -10,14 +10,13 @@ text) is prompt and contributes neither loss nor gradient.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .data import read_jsonl, write_jsonl
 from .errors import PATH, POSITIVE, check, count, number
 from .model import ModelConfig, ModelParams
 from .optim import AdamW, LrSchedule, cosine_lr
@@ -182,17 +181,10 @@ def run_sft(params: ModelParams, config: ModelConfig,
 # conversation files: newline-delimited {"turns": [{"role", "text"}, ...]}
 
 def load_conversations(path) -> list[Conversation]:
-    out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        out.append(Conversation(tuple(Turn(t["role"], t["text"]) for t in obj["turns"])))
-    return out
+    return [Conversation(tuple(Turn(t["role"], t["text"]) for t in obj["turns"]))
+            for obj in read_jsonl(path)]
 
 
 def save_conversations(conversations: Iterable[Conversation], path) -> None:
-    lines = [json.dumps({"turns": [{"role": t.role, "text": t.text} for t in conv.turns]},
-                        ensure_ascii=False)
-             for conv in conversations]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_jsonl(({"turns": [{"role": t.role, "text": t.text} for t in conv.turns]}
+                 for conv in conversations), path)

@@ -188,19 +188,27 @@ def pack_sequences(token_docs: Iterable[Sequence[int]], seq_len: int,
 
 
 # ---------------------------------------------------------------------------
-# corpus files: newline-delimited JSON objects with "text" and "source"
+# record files: newline-delimited JSON, one value per line. Corpus,
+# conversation, preference, task and eval result files all use this pair.
+
+def read_jsonl(path) -> list:
+    """The JSON value on each non-blank line, split on "\\n" only so that
+    U+2028, U+2029 and U+0085 stay inside their record; `read_text` has
+    already turned CRLF and CR into "\\n"."""
+    text = Path(path).read_text(encoding="utf-8")
+    return [json.loads(line) for line in text.split("\n") if line.strip()]
+
+
+def write_jsonl(objects: Iterable, path) -> None:
+    """Each value as unescaped-UTF-8 JSON on its own "\\n"-terminated line."""
+    Path(path).write_text("".join(json.dumps(obj, ensure_ascii=False) + "\n"
+                                  for obj in objects), encoding="utf-8")
+
 
 def load_corpus(path) -> list[Document]:
-    docs = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        docs.append(Document(text=obj["text"], source=obj["source"]))
-    return docs
+    """Corpus records {"text", "source"}."""
+    return [Document(text=obj["text"], source=obj["source"]) for obj in read_jsonl(path)]
 
 
 def save_corpus(docs: Iterable[Document], path) -> None:
-    lines = [json.dumps({"text": d.text, "source": d.source}, ensure_ascii=False)
-             for d in docs]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_jsonl(({"text": d.text, "source": d.source} for d in docs), path)

@@ -9,23 +9,20 @@ never copied. Reference log-probs are computed once per pair and cached.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from functools import reduce
-from pathlib import Path
 from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
-from .chat import (Conversation, END_MARKER, ROLE_MARKERS, Turn, _marker_ids,
-                   render_chat, sft_example)
+from .chat import Conversation, Turn, render_chat, sft_example
 from .errors import PATH, POSITIVE, ConfigError, check, count, number
 from .model import LoraAdapter, ModelConfig, ModelParams, lora_weights
 from .optim import AdamW, OptimHyper
 from .pretrain import batch_loss, log_step, optimize
 from .tensor import Tensor, add, log_sigmoid, mul, neg, no_grad
-from .tokenizer import Vocab, encode
+from .tokenizer import Vocab
 
 LORA_INIT_STD = 0.02
 DPO_HYPER = OptimHyper(weight_decay=0.0)  # adapters are not decayed
@@ -112,9 +109,10 @@ class PreferencePair:
 
 
 def build_preference_pairs(records: Iterable[dict]) -> list[PreferencePair]:
-    """Rank-based pairs: chosen = lowest rank, rejected = highest, ties to
-    the first-listed answer; records not in English ("lang" other than
-    "en") and all-equal ranks drop."""
+    """Rank-based pairs from preference records {"prompt_turns": [{"role",
+    "text"}, ...], "answers": [{"text", "rank"}, ...], "lang": "en"}:
+    chosen = lowest rank, rejected = highest, ties to the first-listed
+    answer; records not in English and all-equal ranks drop."""
     pairs: list[PreferencePair] = []
     for rec in records:
         if rec.get("lang") != "en":
@@ -136,14 +134,14 @@ def build_preference_pairs(records: Iterable[dict]) -> list[PreferencePair]:
 
 
 def render_pair(pair: PreferencePair, vocab: Vocab) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Prompt ids (through the assistant marker) and both response id arrays."""
-    ids, _ = render_chat(pair.prompt, vocab)
-    head = np.array(_marker_ids(ROLE_MARKERS["assistant"], vocab), dtype=np.int64)
-    prompt_ids = np.concatenate([ids, head])
-    end = _marker_ids(END_MARKER, vocab)
-    chosen = np.array(encode(pair.chosen, vocab) + end, dtype=np.int64)
-    rejected = np.array(encode(pair.rejected, vocab) + end, dtype=np.int64)
-    return prompt_ids, chosen, rejected
+    """Prompt ids (through the assistant marker) and both response id arrays:
+    each reply renders as the closing assistant turn and starts after the
+    last mask-0 token, which ends the assistant marker."""
+    (chosen, mask), (rejected, _) = [
+        render_chat(Conversation(pair.prompt.turns + (Turn("assistant", reply),)), vocab)
+        for reply in (pair.chosen, pair.rejected)]
+    split = int(np.flatnonzero(mask == 0)[-1]) + 1
+    return chosen[:split], chosen[split:], rejected[split:]
 
 
 @dataclass(frozen=True)
@@ -205,8 +203,7 @@ class DpoPlan:
 
 
 def dpo_train(params: ModelParams, config: ModelConfig, stages: Sequence[DpoStage],
-              vocab: Vocab, plan: DpoPlan | None = None, log_path=None,
-              adapters: dict[str, LoraAdapter] | None = None
+              vocab: Vocab, plan: DpoPlan | None = None, log_path=None
               ) -> tuple[dict[str, LoraAdapter], list[dict]]:
     """Train one shared adapter set across the stages; base weights frozen.
 
@@ -214,9 +211,7 @@ def dpo_train(params: ModelParams, config: ModelConfig, stages: Sequence[DpoStag
     with lora_merge when a standalone model is wanted.
     """
     plan = plan if plan is not None else DpoPlan()
-    if adapters is None:
-        adapters = init_lora_adapters(params, rank=plan.rank, alpha=plan.alpha,
-                                      seed=plan.seed)
+    adapters = init_lora_adapters(params, rank=plan.rank, alpha=plan.alpha, seed=plan.seed)
     opt = AdamW({f"{name}.lora_{part}": getattr(adapter, part)
                  for name, adapter in adapters.items() for part in "ab"}, DPO_HYPER)
     named = params.named_tensors()
@@ -249,20 +244,3 @@ def dpo_train(params: ModelParams, config: ModelConfig, stages: Sequence[DpoStag
                 log_step(records, {"step": opt.step_count, "stage": stage_idx,
                                    "lr": stage.lr, "train_loss": train_loss}, log_path)
     return adapters, records
-
-
-# ---------------------------------------------------------------------------
-# preference files: newline-delimited
-# {"prompt_turns": [{"role", "text"}, ...], "answers": [{"text", "rank"}, ...], "lang": "en"}
-
-def load_preference_records(path) -> list[dict]:
-    out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            out.append(json.loads(line))
-    return out
-
-
-def save_preference_records(records: Iterable[dict], path) -> None:
-    lines = [json.dumps(rec, ensure_ascii=False) for rec in records]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

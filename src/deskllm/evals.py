@@ -16,16 +16,14 @@ reads plain weights; score a LoRA policy through `dpo.lora_merge`.
 
 from __future__ import annotations
 
-import json
 import math
 import string
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .data import pack_sequences
+from .data import pack_sequences, read_jsonl, write_jsonl
 from .errors import ConfigError
 from .model import KVCache, ModelConfig, ModelParams, forward
 from .pretrain import batch_loss
@@ -275,10 +273,7 @@ def load_tasks(path) -> tuple[list[MCTask], list[EMTask]]:
     {question, answers} records."""
     mc: list[MCTask] = []
     em: list[EMTask] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
+    for obj in read_jsonl(path):
         if "choices" in obj:
             mc.append(MCTask(obj["question"], tuple(obj["choices"]), int(obj["gold"]),
                              tuple(tuple(e) for e in obj.get("exemplars", ()))))
@@ -327,6 +322,4 @@ def evaluate_em_tasks(params, config, tasks: Sequence[EMTask], vocab: Vocab, *,
 
 def save_results(records: Sequence[dict], aggregates: dict, path) -> None:
     """One record per task, then a final {"aggregate": ...} line."""
-    lines = [json.dumps(rec, ensure_ascii=False) for rec in records]
-    lines.append(json.dumps({"aggregate": aggregates}, ensure_ascii=False))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_jsonl([*records, {"aggregate": aggregates}], path)

@@ -155,11 +155,15 @@ class Trainer:
         self.opt = AdamW(params.named_tensors(), plan.hyper,
                          no_decay=no_decay_names(params))
         self.tokens_seen = 0
-        self.step = 0
         self.records: list[dict] = []
         self._stage_index = -1
         self._stream = None
         self._val_set: list = []
+
+    @property
+    def step(self) -> int:
+        """Optimizer steps taken; `optimize` raises before a failed step counts."""
+        return self.opt.step_count
 
     def _packed_stream(self, stage: DataStage, sources, seed: int):
         docs = sample_mix(stage, sources, seed=seed)
@@ -192,7 +196,6 @@ class Trainer:
         lr = cosine_lr(self.tokens_seen + tokens, self.plan.schedule)
         train_loss = optimize(loss, self.opt, lr)
         self.tokens_seen += tokens
-        self.step += 1
         return {"step": self.step, "tokens_seen": self.tokens_seen, "lr": lr,
                 "seq_len": seq_len, "train_loss": train_loss}
 

@@ -332,3 +332,11 @@ class TestConversationIO:
                                      {"role": "assistant", "text": "y"}]})
         path.write_text(line + "\n\n" + line + "\n")
         assert len(load_conversations(path)) == 2
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])
+    def test_line_separator_round_trip(self, tmp_path, sep):
+        convs = [conv(("system", f"be{sep}brief"), ("user", sep), ("assistant", f"ok{sep}")),
+                 conv(("user", "plain"), ("assistant", "text"))]
+        path = tmp_path / "chats.jsonl"
+        save_conversations(convs, path)
+        assert load_conversations(path) == convs

@@ -21,9 +21,8 @@ from deskllm.chat import (Conversation, SftPlan, Turn, chat_vocab,
                           save_conversations)
 from deskllm.checkpoint import load_model
 from deskllm.cli import CliError, _pick_checkpoint, main
-from deskllm.data import DataStage, Document, save_corpus
-from deskllm.dpo import (DpoPlan, DpoStage, PreferenceStage,
-                         save_preference_records)
+from deskllm.data import DataStage, Document, save_corpus, write_jsonl
+from deskllm.dpo import DpoPlan, DpoStage, PreferenceStage
 from deskllm.model import ModelConfig, count_params, forward
 from deskllm.optim import LrSchedule, OptimHyper
 from deskllm.pretrain import TrainPlan
@@ -67,7 +66,7 @@ def _write_world(base) -> None:
                   "prompt_turns": [{"role": "user", "text": "egal"}],
                   "answers": [{"text": "ja", "rank": 0},
                               {"text": "nein", "rank": 1}]})
-    save_preference_records(prefs, base / "prefs.jsonl")
+    write_jsonl(prefs, base / "prefs.jsonl")
     tasks = [
         {"question": "alpha or bravo", "choices": ["alpha", "bravo"], "gold": 0},
         {"question": "warm or cold", "choices": ["warm", "cold"], "gold": 1},
@@ -76,8 +75,7 @@ def _write_world(base) -> None:
         {"question": "say harbor", "answers": ["harbor"]},
         {"question": "say indigo", "answers": ["indigo"]},
     ]
-    (base / "tasks.jsonl").write_text(
-        "\n".join(json.dumps(t) for t in tasks) + "\n", encoding="utf-8")
+    write_jsonl(tasks, base / "tasks.jsonl")
 
 
 def _base_config(run_dir: str, seed: int = 0) -> dict:

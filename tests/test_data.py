@@ -18,12 +18,17 @@ from deskllm.data import (
     load_corpus,
     pack_sequences,
     quality_filter,
+    read_jsonl,
     sample_mix,
     save_corpus,
     web_share_stages,
+    write_jsonl,
 )
 from deskllm.errors import ConfigError
 from deskllm.tensor import IGNORE_INDEX
+
+# Characters str.splitlines() breaks on but JSON leaves unescaped.
+LINE_SEPARATORS = ["\u2028", "\u2029", "\u0085"]
 
 
 class TestDataStage:
@@ -260,3 +265,38 @@ class TestCorpusIO:
         path.write_text('{"text": "a", "source": "web"}\n\n{"text": "b", "source": "web"}\n')
         docs = load_corpus(path)
         assert [d.text for d in docs] == ["a", "b"]
+
+    @pytest.mark.parametrize("sep", LINE_SEPARATORS)
+    def test_line_separator_round_trip(self, tmp_path, sep):
+        docs = [Document(f"one{sep}two", "web"), Document(sep, f"we{sep}b")]
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(docs, path)
+        assert load_corpus(path) == docs
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_crlf_and_cr_files_load(self, tmp_path, newline):
+        path = tmp_path / "corpus.jsonl"
+        lines = [b'{"text": "a", "source": "web"}', b'{"text": "b", "source": "wiki"}']
+        path.write_bytes(newline.join(lines) + newline)
+        assert load_corpus(path) == [Document("a", "web"), Document("b", "wiki")]
+
+    def test_whitespace_only_line_skipped(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b'{"text": "a", "source": "web"}\n \t \n{"text": "b", "source": "web"}\n')
+        assert [d.text for d in load_corpus(path)] == ["a", "b"]
+
+
+class TestJsonl:
+    def test_empty_iterable_writes_nothing(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        write_jsonl(iter(()), path)
+        assert path.read_bytes() == b""
+        assert read_jsonl(path) == []
+
+    def test_unescaped_utf8_one_newline_per_record(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        records = [{"text": "ünï €\u2028x", "n": 1}, ["a\nb"], "z"]
+        write_jsonl(records, path)
+        expected = ('{"text": "ünï €\u2028x", "n": 1}\n["a\\nb"]\n"z"\n').encode("utf-8")
+        assert path.read_bytes() == expected
+        assert read_jsonl(path) == records

@@ -7,16 +7,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from deskllm.chat import Conversation, Turn, chat_vocab
+from deskllm.chat import Conversation, Turn, chat_vocab, render_chat
+from deskllm.data import read_jsonl, write_jsonl
 from deskllm.dpo import (DpoPlan, DpoStage, PreferencePair, build_preference_pairs,
-                         dpo_loss, dpo_train, init_lora_adapters, load_preference_records,
-                         lora_merge, render_pair, save_preference_records,
+                         dpo_loss, dpo_train, init_lora_adapters, lora_merge, render_pair,
                          sequence_logprob, two_stage_plan)
 from deskllm import dpo as dpo_module
 from deskllm.errors import ConfigError
 from deskllm.model import forward, linear, lora_weights
 from deskllm.pretrain import TrainingDiverged
 from deskllm.tensor import Tensor, no_grad
+from deskllm.tokenizer import byte_fallback_vocab, encode
 
 from modelutil import tiny_model
 
@@ -301,6 +302,40 @@ class TestRenderPair:
         assert bytes(int(i) for i in chosen[:-1]) == b"good"
         assert bytes(int(i) for i in rejected[:-1]) == b"bad"
 
+    @staticmethod
+    def hand_built(pair, vocab):
+        """The layout spelled out: the rendered prompt, then the assistant
+        marker; each reply's text, then the end marker."""
+        def marker(text):
+            tid = vocab.token_to_id.get(text)
+            return [tid] if tid is not None else encode(text, vocab)
+        prompt_ids = list(render_chat(pair.prompt, vocab)[0]) + marker(b"<|assistant|>")
+        return [np.array(ids, dtype=np.int64) for ids in
+                (prompt_ids, encode(pair.chosen, vocab) + marker(b"<|end|>"),
+                 encode(pair.rejected, vocab) + marker(b"<|end|>"))]
+
+    @pytest.mark.parametrize("vocab", [CHAT_VOCAB, byte_fallback_vocab()],
+                             ids=["atomic_markers", "byte_fallback"])
+    @pytest.mark.parametrize("pair", [
+        PreferencePair(Conversation((Turn("system", "be kind"), Turn("user", "hi"),
+                                     Turn("assistant", "hello"), Turn("user", "and?"))),
+                       "yes ü", "no"),
+        PreferencePair(prompt("say nothing"), "", "something"),
+    ], ids=["multi_turn", "empty_chosen"])
+    def test_equals_hand_built_layout(self, pair, vocab):
+        got = render_pair(pair, vocab)
+        want = self.hand_built(pair, vocab)
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64
+            np.testing.assert_array_equal(g, w)
+
+    def test_byte_fallback_spells_markers_out(self):
+        vocab = byte_fallback_vocab()
+        assert b"<|assistant|>" not in vocab.token_to_id
+        p_ids, chosen, _ = render_pair(PreferencePair(prompt("hi"), "", "x"), vocab)
+        assert bytes(int(i) for i in p_ids).endswith(b"<|user|>hi<|end|><|assistant|>")
+        assert bytes(int(i) for i in chosen) == b"<|end|>"
+
 
 def toy_pairs():
     return (PreferencePair(prompt("ab"), "yes", "no"),
@@ -362,15 +397,23 @@ class TestDpoTrain:
                 made.append(self)
 
         monkeypatch.setattr(dpo_module, "AdamW", SpyAdamW)
+        adapter_sets, before = [], {}
+
+        def spy_init(*args, **kwargs):
+            adapters = init_lora_adapters(*args, **kwargs)
+            adapter_sets.append(adapters)
+            before.update({name: (ad.a.data.copy(), ad.b.data.copy())
+                           for name, ad in adapters.items()})
+            return adapters
+
+        monkeypatch.setattr(dpo_module, "init_lora_adapters", spy_init)
         cfg, params = self.make_model(seed=29)
         params.layers[0].w_up.data[0, 0] = np.nan
-        adapters = init_lora_adapters(params, seed=6)
-        before = {name: (ad.a.data.copy(), ad.b.data.copy())
-                  for name, ad in adapters.items()}
         base = {n: t.data.copy() for n, t in params.named_tensors().items()}
         with pytest.raises(TrainingDiverged):
             dpo_train(params, cfg, [DpoStage(toy_pairs(), lr=1e-2)], CHAT_VOCAB,
-                      DpoPlan(seed=6), adapters=adapters)
+                      DpoPlan(seed=6))
+        (adapters,) = adapter_sets
         for name, ad in adapters.items():
             assert ad.a.data.tobytes() == before[name][0].tobytes()
             assert ad.b.data.tobytes() == before[name][1].tobytes()
@@ -439,13 +482,6 @@ class TestDpoTrain:
         lines = [json.loads(l) for l in log.read_text().splitlines()]
         assert lines == records
 
-    def test_adapter_passthrough_continues_training(self):
-        cfg, params = self.make_model(seed=26)
-        adapters = init_lora_adapters(params, seed=5)
-        out, _ = dpo_train(params, cfg, [DpoStage(toy_pairs(), lr=1e-3)], CHAT_VOCAB,
-                           DpoPlan(seed=5), adapters=adapters)
-        assert out is adapters
-
     def test_overlength_pair_rejected(self):
         cfg, params = tiny_model(seed=27, vocab_size=len(CHAT_VOCAB), max_context=16)
         pair = PreferencePair(prompt("x" * 40), "yes", "no")
@@ -474,5 +510,17 @@ class TestPreferenceIO:
                     "answers": [{"text": "a", "rank": 0}, {"text": "b", "rank": 1}],
                     "lang": "en"}]
         path = tmp_path / "prefs.jsonl"
-        save_preference_records(records, path)
-        assert load_preference_records(path) == records
+        write_jsonl(records, path)
+        assert read_jsonl(path) == records
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])
+    def test_line_separator_round_trip(self, tmp_path, sep):
+        records = [{"prompt_turns": [{"role": "system", "text": f"s{sep}"},
+                                     {"role": "user", "text": f"q{sep}q"}],
+                    "answers": [{"text": f"a{sep}", "rank": 0}, {"text": sep, "rank": 1}],
+                    "lang": "en"}]
+        path = tmp_path / "prefs.jsonl"
+        write_jsonl(records, path)
+        pairs = build_preference_pairs(read_jsonl(path))
+        assert pairs == build_preference_pairs(records)
+        assert (pairs[0].chosen, pairs[0].rejected) == (f"a{sep}", sep)

@@ -11,6 +11,7 @@ from deskllm.evals import (DecodeSession, EMTask, MCTask, apply_repetition_penal
                            evaluate_em_tasks, evaluate_tasks, exact_match,
                            few_shot_render, generate, generate_text, load_tasks,
                            mc_pick, mc_score, perplexity, save_results)
+from deskllm.data import write_jsonl
 from deskllm.dpo import init_lora_adapters, lora_merge
 from deskllm.model import forward
 from deskllm.tensor import no_grad
@@ -389,6 +390,16 @@ class TestTaskFilesAndReports:
         path.write_text(json.dumps({"question": "q"}) + "\n")
         with pytest.raises(ValueError):
             load_tasks(path)
+
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])
+    def test_line_separator_round_trip(self, tmp_path, sep):
+        path = tmp_path / "tasks.jsonl"
+        write_jsonl([{"question": f"q{sep}1", "choices": [sep, "b"], "gold": 1,
+                      "exemplars": [[f"e{sep}q", "ea"]]},
+                     {"question": "q2", "answers": [f"an{sep}s"]}], path)
+        mc, em = load_tasks(path)
+        assert mc == [MCTask(f"q{sep}1", (sep, "b"), 1, ((f"e{sep}q", "ea"),))]
+        assert em == [EMTask("q2", (f"an{sep}s",))]
 
     def test_evaluate_tasks_aggregates_and_order_independence(self):
         lps = {"a": -1.0, "abcd": -2.0, "x": -5.0, "y": -1.0}

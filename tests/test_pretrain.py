@@ -80,6 +80,14 @@ class TestTrainStep:
         assert records[0]["tokens_seen"] == batch_tokens
         assert records[0]["step"] == 1
 
+    def test_step_reads_the_optimizer_count(self):
+        trainer, cfg, _ = make_trainer()
+        records = trainer.run(max_steps=3)
+        assert [r["step"] for r in records] == [1, 2, 3]
+        assert trainer.step == trainer.opt.step_count == 3
+        with pytest.raises(AttributeError):
+            trainer.step = 0
+
     def test_loss_decreases_on_repeated_batch(self):
         trainer, cfg, _ = make_trainer(
             schedule=LrSchedule(warmup_tokens=16, total_tokens=1e9,
