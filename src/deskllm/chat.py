@@ -181,8 +181,8 @@ def run_sft(params: ModelParams, config: ModelConfig,
 # conversation files: newline-delimited {"turns": [{"role", "text"}, ...]}
 
 def load_conversations(path) -> list[Conversation]:
-    return [Conversation(tuple(Turn(t["role"], t["text"]) for t in obj["turns"]))
-            for obj in read_jsonl(path)]
+    return read_jsonl(path, lambda obj: Conversation(
+        tuple(Turn(t["role"], t["text"]) for t in obj["turns"])))
 
 
 def save_conversations(conversations: Iterable[Conversation], path) -> None:

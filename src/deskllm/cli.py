@@ -31,8 +31,8 @@ from pathlib import Path
 from .checkpoint import (inspect_checkpoint, load_model,
                          save_model_checkpoint)
 from .chat import SftPlan, load_conversations, run_sft
-from .data import load_corpus, read_jsonl
-from .dpo import DpoPlan, DpoStage, build_preference_pairs, dpo_train, lora_merge
+from .data import load_corpus
+from .dpo import DpoPlan, DpoStage, dpo_train, load_preference_pairs, lora_merge
 from .evals import (evaluate_em_tasks, evaluate_tasks, generate_text,
                     load_tasks, perplexity, save_results)
 from .model import init_params
@@ -155,7 +155,7 @@ def _dpo_stages(cfg: RunConfig, plan: DpoPlan) -> list[DpoStage]:
         path = (cfg.data.preferences if entry.preferences is None
                 else entry.preferences)
         _require("dpo", path is not None, "either dpo.stages or data.preferences is required")
-        pairs = build_preference_pairs(read_jsonl(cfg.resolve(path)))
+        pairs = load_preference_pairs(cfg.resolve(path))
         _require("dpo", bool(pairs), f"no usable preference pairs in {path}")
         stages.append(DpoStage(pairs=tuple(pairs), lr=entry.lr,
                                epochs=entry.epochs))

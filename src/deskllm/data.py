@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -191,12 +191,36 @@ def pack_sequences(token_docs: Iterable[Sequence[int]], seq_len: int,
 # record files: newline-delimited JSON, one value per line. Corpus,
 # conversation, preference, task and eval result files all use this pair.
 
-def read_jsonl(path) -> list:
+def read_jsonl(path, record: Callable[[dict], Any] | None = None) -> list:
     """The JSON value on each non-blank line, split on "\\n" only so that
     U+2028, U+2029 and U+0085 stay inside their record; `read_text` has
-    already turned CRLF and CR into "\\n"."""
+    already turned CRLF and CR into "\\n".
+
+    With `record`, each value must be a JSON object and the list holds
+    `record(obj)`. A line that does not parse, or that `record` rejects
+    with KeyError, TypeError or ValueError, raises ValueError
+    "<path>:<line>: <why>" with the 1-based line number.
+    """
     text = Path(path).read_text(encoding="utf-8")
-    return [json.loads(line) for line in text.split("\n") if line.strip()]
+    out = []
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            if record is not None:
+                if not isinstance(obj, dict):
+                    raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+                obj = record(obj)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: invalid JSON at column {exc.colno}: "
+                             f"{exc.msg}") from exc
+        except KeyError as exc:
+            raise ValueError(f"{path}:{lineno}: missing field {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        out.append(obj)
+    return out
 
 
 def write_jsonl(objects: Iterable, path) -> None:
@@ -207,7 +231,7 @@ def write_jsonl(objects: Iterable, path) -> None:
 
 def load_corpus(path) -> list[Document]:
     """Corpus records {"text", "source"}."""
-    return [Document(text=obj["text"], source=obj["source"]) for obj in read_jsonl(path)]
+    return read_jsonl(path, lambda obj: Document(text=obj["text"], source=obj["source"]))
 
 
 def save_corpus(docs: Iterable[Document], path) -> None:

@@ -17,6 +17,7 @@ from typing import ClassVar, Iterable, Sequence
 import numpy as np
 
 from .chat import Conversation, Turn, render_chat, sft_example
+from .data import read_jsonl
 from .errors import PATH, POSITIVE, ConfigError, check, count, number
 from .model import LoraAdapter, ModelConfig, ModelParams, lora_weights
 from .optim import AdamW, OptimHyper
@@ -108,29 +109,38 @@ class PreferencePair:
             raise ValueError("chosen and rejected responses must differ")
 
 
-def build_preference_pairs(records: Iterable[dict]) -> list[PreferencePair]:
-    """Rank-based pairs from preference records {"prompt_turns": [{"role",
+def preference_pair(rec: dict) -> PreferencePair | None:
+    """The rank-based pair of a preference record {"prompt_turns": [{"role",
     "text"}, ...], "answers": [{"text", "rank"}, ...], "lang": "en"}:
     chosen = lowest rank, rejected = highest, ties to the first-listed
-    answer; records not in English and all-equal ranks drop."""
-    pairs: list[PreferencePair] = []
-    for rec in records:
-        if rec.get("lang") != "en":
-            continue
-        answers = rec["answers"]
-        if len(answers) < 2:
-            continue
-        ranks = [int(a["rank"]) for a in answers]
-        if min(ranks) == max(ranks):
-            continue
-        chosen = answers[ranks.index(min(ranks))]["text"]
-        rejected = answers[ranks.index(max(ranks))]["text"]
-        if chosen == rejected:
-            continue
-        prompt = Conversation(tuple(Turn(t["role"], t["text"])
-                                    for t in rec["prompt_turns"]))
-        pairs.append(PreferencePair(prompt, chosen, rejected))
-    return pairs
+    answer; None for a record not in English, with fewer than two
+    answers, with all-equal ranks or with identical texts."""
+    if rec.get("lang") != "en":
+        return None
+    answers = rec["answers"]
+    if len(answers) < 2:
+        return None
+    ranks = [int(a["rank"]) for a in answers]
+    if min(ranks) == max(ranks):
+        return None
+    chosen = answers[ranks.index(min(ranks))]["text"]
+    rejected = answers[ranks.index(max(ranks))]["text"]
+    if chosen == rejected:
+        return None
+    prompt = Conversation(tuple(Turn(t["role"], t["text"])
+                                for t in rec["prompt_turns"]))
+    return PreferencePair(prompt, chosen, rejected)
+
+
+def build_preference_pairs(records: Iterable[dict]) -> list[PreferencePair]:
+    """The pairs of the records that do not drop, in record order."""
+    return [p for p in map(preference_pair, records) if p is not None]
+
+
+def load_preference_pairs(path) -> list[PreferencePair]:
+    """`build_preference_pairs` over a preference file; a malformed record
+    raises ValueError naming its file and line."""
+    return [p for p in read_jsonl(path, preference_pair) if p is not None]
 
 
 def render_pair(pair: PreferencePair, vocab: Vocab) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -268,20 +268,21 @@ def generate_text(params, config, prompt: str, vocab: Vocab, *, max_new: int,
 # ---------------------------------------------------------------------------
 # task files and batch evaluation
 
+def _task(obj: dict) -> MCTask | EMTask:
+    if "choices" in obj:
+        return MCTask(obj["question"], tuple(obj["choices"]), int(obj["gold"]),
+                      tuple(tuple(e) for e in obj.get("exemplars", ())))
+    if "answers" in obj:
+        return EMTask(obj["question"], tuple(obj["answers"]))
+    raise ValueError("task record needs choices+gold or answers")
+
+
 def load_tasks(path) -> tuple[list[MCTask], list[EMTask]]:
     """Newline-delimited {question, choices, gold[, exemplars]} or
     {question, answers} records."""
-    mc: list[MCTask] = []
-    em: list[EMTask] = []
-    for obj in read_jsonl(path):
-        if "choices" in obj:
-            mc.append(MCTask(obj["question"], tuple(obj["choices"]), int(obj["gold"]),
-                             tuple(tuple(e) for e in obj.get("exemplars", ()))))
-        elif "answers" in obj:
-            em.append(EMTask(obj["question"], tuple(obj["answers"])))
-        else:
-            raise ValueError(f"task record needs choices+gold or answers: {obj}")
-    return mc, em
+    tasks = read_jsonl(path, _task)
+    return ([t for t in tasks if isinstance(t, MCTask)],
+            [t for t in tasks if isinstance(t, EMTask)])
 
 
 def evaluate_tasks(params, config, tasks: Sequence[MCTask], vocab: Vocab, *, k: int = 0,

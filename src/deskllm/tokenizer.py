@@ -1,15 +1,22 @@
-"""Token tables, greedy BPE encoding, vocab files, and embedding transplant.
+"""Token tables, merge-queue BPE encoding, vocab files, and embedding transplant.
 
 A vocabulary is an immutable list of byte-string tokens (line number =
 id in the file format) with optional special ids and an optional merge
 table. A 256-token byte-level fallback ships so every pipeline stage
 runs without external vocabulary files; external BPE vocabularies are
 loaded, never trained here.
+
+`encode` applies the merge table with a min-heap of (rank, position)
+entries over a linked list of symbols: it takes every entry of the
+lowest rank, merges those pairs left to right, skips stale entries,
+and only then looks at the pairs the merges created. That is O(n log n)
+per document of n bytes.
 """
 
 from __future__ import annotations
 
 import base64
+import heapq
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -61,37 +68,56 @@ def byte_fallback_vocab(specials: bool = True) -> Vocab:
 
 
 def encode(text: str | bytes, vocab: Vocab) -> list[int]:
-    """Greedy BPE: repeatedly merge the lowest-rank adjacent pair, left to right.
+    """BPE from single bytes by a rank-ordered merge queue.
 
-    Starts from single bytes; with no merge table this is plain
-    byte-level encoding.
+    A min-heap holds (rank, position) for every adjacent pair of the
+    linked list of symbols that has a merge rank. Each round pops every
+    entry of the lowest rank r, then applies them in position order:
+    that merges all occurrences of the pair, left to right, so a run
+    "aaa" under (a, a) becomes aa, a. An entry whose left symbol was
+    merged away, or whose pair no longer has rank r, is stale and
+    skipped. The pairs a merge creates are pushed and popped only in
+    later rounds, even those of rank below r; a merge never creates a
+    pair of rank r itself. Each merge pushes at most two entries, so a
+    document of n bytes costs O(n log n). With no merge table this is
+    plain byte-level encoding.
     """
     if isinstance(text, str):
         text = text.encode("utf-8")
-    symbols = [bytes([b]) for b in text]
+    symbols: list[bytes | None] = [bytes([b]) for b in text]  # None: merged away
     ranks = vocab.merge_ranks
-    while len(symbols) > 1 and ranks:
-        best = None
-        for i in range(len(symbols) - 1):
-            rank = ranks.get((symbols[i], symbols[i + 1]))
-            if rank is not None and (best is None or rank < best[0]):
-                best = (rank, symbols[i], symbols[i + 1])
-        if best is None:
-            break
-        _, left, right = best
-        merged = left + right
-        out: list[bytes] = []
-        i = 0
-        while i < len(symbols):
-            if i + 1 < len(symbols) and symbols[i] == left and symbols[i + 1] == right:
-                out.append(merged)
-                i += 2
-            else:
-                out.append(symbols[i])
-                i += 1
-        symbols = out
+    n = len(symbols)
+    if n > 1 and ranks:
+        nxt = list(range(1, n + 1))  # n: no right neighbour
+        prv = list(range(-1, n - 1))  # -1: no left neighbour
+        heap = [(rank, i) for i, pair in enumerate(zip(symbols, symbols[1:]))
+                if (rank := ranks.get(pair)) is not None]
+        heapq.heapify(heap)
+        while heap:
+            rank = heap[0][0]
+            batch = []  # pops in position order
+            while heap and heap[0][0] == rank:
+                batch.append(heapq.heappop(heap)[1])
+            for i in batch:
+                left = symbols[i]
+                j = nxt[i]
+                if left is None or j == n or ranks.get((left, symbols[j])) != rank:
+                    continue
+                merged = symbols[i] = left + symbols[j]
+                symbols[j] = None
+                k = nxt[i] = nxt[j]
+                if k < n:
+                    prv[k] = i
+                    new_rank = ranks.get((merged, symbols[k]))
+                    if new_rank is not None:
+                        heapq.heappush(heap, (new_rank, i))
+                h = prv[i]
+                if h >= 0:
+                    new_rank = ranks.get((symbols[h], merged))
+                    if new_rank is not None:
+                        heapq.heappush(heap, (new_rank, h))
     try:
-        return [vocab.token_to_id[s] for s in symbols]
+        return [vocab.token_to_id[s] for s in symbols if s is not None]
     except KeyError as exc:
         raise ValueError(f"token {exc.args[0]!r} not in vocabulary") from None
 

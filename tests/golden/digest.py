@@ -7,7 +7,9 @@ under logs/, checkpoints/ and results/. Run it from the repository root
 of two checkouts and compare the outputs to show that a change leaves
 the pipeline's outputs byte for byte identical:
 
-    PYTHONPATH=src python tests/golden/digest.py
+    python tests/golden/digest.py
+
+It imports deskllm from the checkout it sits in, never from elsewhere.
 """
 
 import contextlib
@@ -17,7 +19,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+TESTS = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 
 from deskllm.runconfig import load_run_config  # noqa: E402
 from test_cli import _write_world  # noqa: E402

@@ -3,7 +3,9 @@
 Run from the repository root, only for a change that is meant to alter
 the pipeline's outputs, and say in that change why they moved:
 
-    PYTHONPATH=src python tests/golden/regen.py
+    python tests/golden/regen.py
+
+It imports deskllm from the checkout it sits in, never from elsewhere.
 """
 
 import json
@@ -13,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+TESTS = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(TESTS.parent / "src"), str(TESTS)]
 
 from test_cli import _write_world  # noqa: E402
 from test_golden import CASES, GOLDEN, run_case, snapshot  # noqa: E402

@@ -1,6 +1,7 @@
 """Chat template rendering, loss masking, and the SFT loop."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -332,6 +333,22 @@ class TestConversationIO:
                                      {"role": "assistant", "text": "y"}]})
         path.write_text(line + "\n\n" + line + "\n")
         assert len(load_conversations(path)) == 2
+
+    def test_non_object_record_names_file_and_line(self, tmp_path):
+        path = tmp_path / "chats.jsonl"
+        path.write_text("[1]\n")
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{path}:1: expected a JSON object, got list")):
+            load_conversations(path)
+
+    def test_invalid_conversation_names_its_line(self, tmp_path):
+        path = tmp_path / "chats.jsonl"
+        good = json.dumps({"turns": [{"role": "user", "text": "x"},
+                                     {"role": "assistant", "text": "y"}]})
+        bad = json.dumps({"turns": [{"role": "assistant", "text": "y"}]})
+        path.write_text(good + "\n" + bad + "\n")
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:2: turn 0")):
+            load_conversations(path)
 
     @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])
     def test_line_separator_round_trip(self, tmp_path, sep):

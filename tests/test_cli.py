@@ -289,6 +289,15 @@ def test_lock_released_after_runtime_failure(world, capsys):
     assert not (world / "failing" / ".lock").exists()
 
 
+def test_malformed_corpus_record_reported_with_file_and_line(world, capsys):
+    lines = ['{"text": "a b c", "source": "web"}', '{"text": "d e f"}']
+    (world / "bad_corpus.jsonl").write_text("\n".join(lines) + "\n")
+    data = dict(_base_config("bad_corpus")["data"], corpus="bad_corpus.jsonl")
+    config = _config_file(world, "bad_corpus", data=data)
+    assert main(["pretrain", "--config", str(config)]) == 1
+    assert "bad_corpus.jsonl:2: missing field 'source'" in capsys.readouterr().err
+
+
 def test_checkpoint_chain_order(world, tmp_path):
     run_dir = tmp_path / "chain"
     (run_dir / "checkpoints").mkdir(parents=True)

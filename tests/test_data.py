@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -280,6 +281,13 @@ class TestCorpusIO:
         path.write_bytes(newline.join(lines) + newline)
         assert load_corpus(path) == [Document("a", "web"), Document("b", "wiki")]
 
+    def test_record_without_source_names_file_and_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"text": "a"}\n')
+        with pytest.raises(ValueError,
+                           match="^" + re.escape(f"{path}:1: missing field 'source'")):
+            load_corpus(path)
+
     def test_whitespace_only_line_skipped(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_bytes(b'{"text": "a", "source": "web"}\n \t \n{"text": "b", "source": "web"}\n')
@@ -287,6 +295,19 @@ class TestCorpusIO:
 
 
 class TestJsonl:
+    def test_bad_json_names_its_line(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"n": 1}\n{"n": \n')
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}:2: invalid JSON")):
+            read_jsonl(path)
+
+    def test_blank_lines_count_toward_line_numbers(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"text": "a", "source": "web"}\n\n{"text": "b"}\n')
+        with pytest.raises(ValueError,
+                           match="^" + re.escape(f"{path}:3: missing field 'source'")):
+            load_corpus(path)
+
     def test_empty_iterable_writes_nothing(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         write_jsonl(iter(()), path)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -10,8 +11,8 @@ import pytest
 from deskllm.chat import Conversation, Turn, chat_vocab, render_chat
 from deskllm.data import read_jsonl, write_jsonl
 from deskllm.dpo import (DpoPlan, DpoStage, PreferencePair, build_preference_pairs,
-                         dpo_loss, dpo_train, init_lora_adapters, lora_merge, render_pair,
-                         sequence_logprob, two_stage_plan)
+                         dpo_loss, dpo_train, init_lora_adapters, load_preference_pairs,
+                         lora_merge, render_pair, sequence_logprob, two_stage_plan)
 from deskllm import dpo as dpo_module
 from deskllm.errors import ConfigError
 from deskllm.model import forward, linear, lora_weights
@@ -505,6 +506,17 @@ class TestDpoTrain:
 
 
 class TestPreferenceIO:
+    def test_malformed_record_names_file_and_line(self, tmp_path):
+        ok = {"prompt_turns": [{"role": "user", "text": "q"}],
+              "answers": [{"text": "a", "rank": 0}, {"text": "b", "rank": 1}],
+              "lang": "en"}
+        bad = dict(ok, answers=[{"text": "a", "rank": 0}, {"text": "b"}])
+        path = tmp_path / "prefs.jsonl"
+        write_jsonl([ok, bad], path)
+        with pytest.raises(ValueError,
+                           match="^" + re.escape(f"{path}:2: missing field 'rank'")):
+            load_preference_pairs(path)
+
     def test_round_trip(self, tmp_path):
         records = [{"prompt_turns": [{"role": "user", "text": "qü"}],
                     "answers": [{"text": "a", "rank": 0}, {"text": "b", "rank": 1}],
@@ -523,4 +535,5 @@ class TestPreferenceIO:
         write_jsonl(records, path)
         pairs = build_preference_pairs(read_jsonl(path))
         assert pairs == build_preference_pairs(records)
+        assert load_preference_pairs(path) == pairs
         assert (pairs[0].chosen, pairs[0].rejected) == (f"a{sep}", sep)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -389,6 +390,14 @@ class TestTaskFilesAndReports:
         path = tmp_path / "tasks.jsonl"
         path.write_text(json.dumps({"question": "q"}) + "\n")
         with pytest.raises(ValueError):
+            load_tasks(path)
+
+    def test_bad_record_names_file_and_line(self, tmp_path):
+        path = tmp_path / "tasks.jsonl"
+        path.write_text(json.dumps({"question": "q", "answers": ["a"]}) + "\n"
+                        + json.dumps({"question": "q"}) + "\n")
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{path}:2: task record needs choices+gold or answers")):
             load_tasks(path)
 
     @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\u0085"])
