@@ -3,8 +3,8 @@ prompt assembly, exact match, and deterministic generation.
 
 Perplexity scores through `pretrain.batch_loss`, the cross-entropy that
 training uses. Generation and multiple-choice scoring run through
-`model.forward` with a preallocated KV cache (`DecodeSession`), the same
-code as training. Decoding feeds each new token after the cached ones
+`model.forward` with a preallocated KV cache (`model.DecodeSession`), the
+same code as training. Decoding feeds each new token after the cached ones
 and must pick the same tokens as recomputing the full forward pass each
 step, which the tests assert. Multiple choice forwards the rendered
 prompt once; each choice rewinds the cache to the end of the prompt and
@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import pack_sequences, read_jsonl, write_jsonl
 from .errors import ConfigError
-from .model import KVCache, ModelConfig, ModelParams, forward
+from .model import DecodeSession, ModelConfig, ModelParams, forward
 from .pretrain import batch_loss
 from .tensor import IGNORE_INDEX, no_grad
 from .tokenizer import Vocab, decode, encode
@@ -127,8 +127,8 @@ def mc_score(params, config, task: MCTask, vocab: Vocab | None = None, *, k: int
     else:
         prompt_ids = encode(prompt_text, vocab)
         choice_ids = [encode(c, vocab) for c in task.choices]
-        session = DecodeSession(params, config,
-                                len(prompt_ids) + max(map(len, choice_ids)), fp8=fp8)
+        rows = len(prompt_ids) + max(max(map(len, choice_ids)) - 1, 0)
+        session = DecodeSession(params, config, rows, fp8=fp8)
         first = _log_softmax(session.step(prompt_ids)[-1:])
         lps = []
         for ids in choice_ids:
@@ -181,24 +181,6 @@ def apply_repetition_penalty(logits: np.ndarray, token_ids, penalty: float) -> n
     vals = out[seen]
     out[seen] = np.where(vals > 0, vals / penalty, vals * penalty)
     return out
-
-
-class DecodeSession(KVCache):
-    """A KV cache bound to one model; `step` runs the cached `forward`.
-
-    capacity sizes the buffers to the request; a step past it raises.
-    """
-
-    def __init__(self, params: ModelParams, config: ModelConfig, capacity: int, *,
-                 fp8: bool = False):
-        super().__init__(config, capacity, params.dtype)
-        self.params, self.fp8 = params, fp8
-
-    def step(self, tokens) -> np.ndarray:
-        """Process new tokens; returns their [t, vocab] logit rows."""
-        with no_grad():
-            return forward(self.params, np.asarray(tokens, dtype=np.int64).reshape(-1),
-                           self.config, fp8=self.fp8, cache=self).data
 
 
 def _pick_token(row: np.ndarray, seen_ids, temperature: float, penalty: float,

@@ -7,6 +7,8 @@ sliding-window causal masking, grouped-query attention, and a gated
 Only this module knows the parameter layout: `LAYER_KEYS`, `param_shapes`
 and `ModelParams.build`, which makes tensors in `named_tensors` order.
 LoRA only reparametrizes weights (`lora_weights`); blocks read plain ones.
+`DecodeSession` caches one model's rotated keys and values; q, k and v
+stay [T, heads, head_dim] from their projections to `T.attention`.
 """
 
 from __future__ import annotations
@@ -290,26 +292,25 @@ def gqa_attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, mask: Tensor,
                   config: ModelConfig, *, fp8: bool = False) -> Tensor:
     """Grouped-query scaled dot-product attention with output projection.
 
-    q is [Tq, hidden]; k and v are [Tk, kv_dim] and the mask is [Tq, Tk]
-    (Tk exceeds Tq when earlier keys come from a cache). Each group of
-    n_heads/n_kv_heads query heads shares one KV head; scores are scaled
-    by 1/sqrt(head_dim), masked, softmaxed, applied to values, and the
-    concatenated heads are projected by wo. The core is one `T.attention`
-    op, so the graph keeps the softmax weights ([n_kv, group, Tq, Tk])
-    but no score arrays.
+    q is [Tq, n_heads, head_dim]; k and v are [Tk, n_kv_heads, head_dim]
+    and the mask is [Tq, Tk] (Tk exceeds Tq when earlier keys come from a
+    cache). Each group of n_heads/n_kv_heads query heads shares one KV
+    head; scores are scaled by 1/sqrt(head_dim), masked, softmaxed,
+    applied to values, and the concatenated heads are projected by wo.
+    The core is one `T.attention` op, so the graph keeps the softmax
+    weights ([n_kv, group, Tq, Tk]) but no score arrays.
     """
     n_h, n_kv, d = config.n_heads, config.n_kv_heads, config.head_dim
     t_len, t_keys = q.shape[0], k.shape[0]
-    if q.shape != (t_len, n_h * d):
+    if q.shape != (t_len, n_h, d):
         raise ShapeError(f"q shape {q.shape} inconsistent with {n_h} heads of dim {d}")
-    if k.shape != (t_keys, n_kv * d) or v.shape != k.shape:
+    if k.shape != (t_keys, n_kv, d) or v.shape != k.shape:
         raise ShapeError(
             f"k/v shapes {k.shape}/{v.shape} inconsistent with {n_kv} KV heads of dim {d}")
-    group = config.group_size
     # Query head h = kv*group + g lands at [kv, g]; k and v broadcast over g.
-    qh = T.reshape(T.transpose(T.reshape(q, (t_len, n_h, d)), (1, 0, 2)), (n_kv, group, t_len, d))
-    kh = T.reshape(T.transpose(T.reshape(k, (t_keys, n_kv, d)), (1, 0, 2)), (n_kv, 1, t_keys, d))
-    vh = T.reshape(T.transpose(T.reshape(v, (t_keys, n_kv, d)), (1, 0, 2)), (n_kv, 1, t_keys, d))
+    qh = T.reshape(T.transpose(q, (1, 0, 2)), (n_kv, config.group_size, t_len, d))
+    kh = T.reshape(T.transpose(k, (1, 0, 2)), (n_kv, 1, t_keys, d))
+    vh = T.reshape(T.transpose(v, (1, 0, 2)), (n_kv, 1, t_keys, d))
     ctx = T.attention(qh, kh, vh, mask, 1.0 / math.sqrt(d))
     ctx = T.reshape(T.transpose(T.reshape(ctx, (n_h, t_len, d)), (1, 0, 2)), (t_len, n_h * d))
     return linear(ctx, wo, fp8=fp8)
@@ -320,24 +321,18 @@ def decoder_block(x: Tensor, layer: LayerParams, mask: Tensor, config: ModelConf
     """Pre-norm attention and gated-MLP sublayers around residual adds.
 
     rope is rope_tables for positions when already computed. kv, given a
-    cache, maps this block's new rotated keys and values to the ones its
-    attention reads.
+    session, maps this block's new rotated keys and values, each
+    [T, n_kv_heads, head_dim], to the ones its attention reads.
     """
-    t_len = x.shape[0]
+    t_len, d = x.shape[0], config.head_dim
     if positions is None:
         positions = np.arange(t_len)
 
     h = T.rms_norm(x, layer.norm_attn, config.norm_eps)
-    q = linear(h, layer.wq, fp8=fp8)
-    k = linear(h, layer.wk, fp8=fp8)
-    v = linear(h, layer.wv, fp8=fp8)
-    d = config.head_dim
-    q = T.reshape(rope_rotate(T.reshape(q, (t_len, config.n_heads, d)),
-                              positions, config.rope_theta, tables=rope),
-                  (t_len, config.hidden_size))
-    k = T.reshape(rope_rotate(T.reshape(k, (t_len, config.n_kv_heads, d)),
-                              positions, config.rope_theta, tables=rope),
-                  (t_len, config.kv_dim))
+    q, k, v = (T.reshape(linear(h, w, fp8=fp8), (t_len, -1, d))
+               for w in (layer.wq, layer.wk, layer.wv))
+    q = rope_rotate(q, positions, config.rope_theta, tables=rope)
+    k = rope_rotate(k, positions, config.rope_theta, tables=rope)
     if kv is not None:
         k, v = kv(k, v)
     attn = gqa_attention(q, k, v, layer.wo, mask, config, fp8=fp8)
@@ -350,22 +345,23 @@ def decoder_block(x: Tensor, layer: LayerParams, mask: Tensor, config: ModelConf
     return T.add(x, y)
 
 
-class KVCache:
-    """Rotated keys and values of earlier positions, for forward(cache=...).
+class DecodeSession:
+    """A KV cache bound to one model; `step` runs the cached `forward`.
 
-    k_cache and v_cache are [n_layers, capacity, kv_dim] buffers sized to
-    the request; rows [0, pos) are live. A cached forward puts its tokens
-    at positions pos.., writes their keys and values to the rows after
-    the live ones and advances pos. Setting pos back rewinds: the next
-    forward overwrites the rows past it.
+    k_cache and v_cache are [n_layers, capacity, n_kv_heads, head_dim]
+    buffers sized to the request; rows [0, pos) are live. A step puts its
+    tokens at positions pos.., writes their keys and values to the rows
+    after the live ones and advances pos; a step past capacity raises.
+    Setting pos back rewinds: the next step overwrites the rows past it.
     """
 
-    def __init__(self, config: ModelConfig, capacity: int, dtype):
+    def __init__(self, params: ModelParams, config: ModelConfig, capacity: int, *,
+                 fp8: bool = False):
         if not 0 <= capacity <= config.max_context:
             raise ValueError(f"cache capacity {capacity} outside [0, {config.max_context}]")
-        self.config, self.pos = config, 0
-        shape = (2, config.n_layers, capacity, config.kv_dim)
-        self.k_cache, self.v_cache = np.zeros(shape, dtype)
+        self.params, self.config, self.fp8, self.pos = params, config, fp8, 0
+        shape = (2, config.n_layers, capacity, config.n_kv_heads, config.head_dim)
+        self.k_cache, self.v_cache = np.zeros(shape, params.dtype)
 
     @property
     def capacity(self) -> int:
@@ -378,9 +374,15 @@ class KVCache:
         self.v_cache[layer, self.pos:end] = v.data
         return Tensor(self.k_cache[layer, lo:end]), Tensor(self.v_cache[layer, lo:end])
 
+    def step(self, tokens) -> np.ndarray:
+        """Process new tokens; returns their [t, vocab] logit rows."""
+        with T.no_grad():
+            return forward(self.params, np.asarray(tokens, dtype=np.int64).reshape(-1),
+                           self.config, fp8=self.fp8, cache=self).data
+
 
 def forward(params: ModelParams, tokens, config: ModelConfig, *, fp8: bool = False,
-            adapters=None, cache: KVCache | None = None) -> Tensor:
+            adapters=None, cache: DecodeSession | None = None) -> Tensor:
     """Logits [T, vocab] for one token sequence.
 
     fp8 rounds attention/MLP linear operands to E4M3 at forward time;
@@ -388,10 +390,11 @@ def forward(params: ModelParams, tokens, config: ModelConfig, *, fp8: bool = Fal
     adapters maps tensor names (as in named_tensors) to LoraAdapter; the
     forward reads lora_weights(params, adapters), as lora_merge stores.
 
-    With a cache (only under no_grad), the tokens continue the cached
-    ones: they sit at positions cache.pos.., attend to the cached keys
-    and values within the window, and are appended to the cache. Training,
-    decoding and scoring all run this one path.
+    With a cache (a DecodeSession, only under no_grad), the tokens
+    continue the cached ones: they sit at positions cache.pos.., attend
+    to the cached keys and values within the window, and are appended to
+    the cache. Training, decoding and scoring all run this one path.
+    `T.embedding` rejects ids outside [0, vocab_size).
     """
     ids = np.asarray(tokens, dtype=np.int64)
     if ids.ndim != 1 or ids.size == 0:
@@ -399,9 +402,6 @@ def forward(params: ModelParams, tokens, config: ModelConfig, *, fp8: bool = Fal
     t_len = int(ids.shape[0])
     if t_len > config.max_context:
         raise ValueError(f"sequence length {t_len} exceeds max_context {config.max_context}")
-    if ids.min() < 0 or ids.max() >= config.vocab_size:
-        raise ValueError(
-            f"token id out of range [0, {config.vocab_size}): min={ids.min()}, max={ids.max()}")
     if adapters:
         params = lora_weights(params, adapters)
     start = 0

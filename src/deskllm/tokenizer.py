@@ -16,6 +16,7 @@ per document of n bytes.
 from __future__ import annotations
 
 import base64
+import binascii
 import heapq
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -141,10 +142,19 @@ def save_vocab(vocab: Vocab, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+def _b64(path, lineno: int, field: str) -> bytes:
+    try:
+        return base64.b64decode(field, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"{path}:{lineno}: {field!r} is not base64: {exc}") from exc
+
+
 def load_vocab(path, merges_path=None, bos_id: int | None = None,
                eos_id: int | None = None, pad_id: int | None = None) -> Vocab:
-    tokens = [base64.b64decode(line)
-              for line in Path(path).read_text(encoding="ascii").splitlines()]
+    """One base64 token per line; an empty line is the empty token. A line
+    that is not base64 raises ValueError "<path>:<line>: ..."."""
+    lines = Path(path).read_text(encoding="ascii").splitlines()
+    tokens = [_b64(path, lineno, line) for lineno, line in enumerate(lines, start=1)]
     merges = load_merges(merges_path) if merges_path is not None else ()
     return Vocab(tokens, bos_id=bos_id, eos_id=eos_id, pad_id=pad_id, merges=merges)
 
@@ -156,12 +166,17 @@ def save_merges(merges: Iterable[tuple[bytes, bytes]], path) -> None:
 
 
 def load_merges(path) -> list[tuple[bytes, bytes]]:
+    """One "left right" pair of base64 fields per non-empty line. Any other
+    line raises ValueError "<path>:<line>: ..."."""
     out = []
-    for line in Path(path).read_text(encoding="ascii").splitlines():
+    for lineno, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), start=1):
         if not line:
             continue
-        left, right = line.split(" ")
-        out.append((base64.b64decode(left), base64.b64decode(right)))
+        fields = line.split(" ")
+        if len(fields) != 2:
+            raise ValueError(f"{path}:{lineno}: expected two base64 fields split by one space, "
+                             f"got {line!r}")
+        out.append((_b64(path, lineno, fields[0]), _b64(path, lineno, fields[1])))
     return out
 
 

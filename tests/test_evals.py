@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from deskllm import model
 from deskllm.errors import ConfigError
 from deskllm.evals import (DecodeSession, EMTask, MCTask, apply_repetition_penalty,
                            evaluate_em_tasks, evaluate_tasks, exact_match,
@@ -186,6 +187,18 @@ class TestPrefixSharedMC:
         assert len(encode("x", vocab)) == 1
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
+    def test_cache_holds_only_the_rows_it_writes(self):
+        # Prompt plus longest choice is max_context + 1 tokens, but a
+        # choice's last token is scored, never forwarded.
+        cfg, params = tiny_model(seed=21, vocab_size=259, max_context=16)
+        vocab = byte_fallback_vocab()
+        task = MCTask("twelve chars", ("abcd", "x"), gold=0)
+        prompt_ids = encode(task.question + "\n", vocab)
+        assert len(prompt_ids) + len(encode("abcd", vocab)) == cfg.max_context + 1
+        got = mc_score(params, cfg, task, vocab)["logprobs"]
+        want = full_forward_logprobs(params, cfg, prompt_ids, task.choices, vocab)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
     def test_choice_order_is_bitwise_irrelevant(self):
         cfg, params = tiny_model(seed=20, vocab_size=259, sliding_window=8)
         vocab = byte_fallback_vocab()
@@ -286,6 +299,10 @@ class TestDecodeSession:
         with no_grad():
             full = forward(params, ids, cfg).data
         assert np.max(np.abs(incremental - full)) < 1e-10
+
+    def test_is_the_model_session(self):
+        # perfbench times deskllm.evals.DecodeSession.step; model owns the class.
+        assert DecodeSession is model.DecodeSession
 
     def test_context_overflow_rejected(self):
         cfg, params = tiny_model(seed=9, max_context=4)

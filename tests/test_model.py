@@ -10,7 +10,7 @@ import pytest
 from deskllm import tensor as T
 from deskllm.model import (
     ConfigError,
-    KVCache,
+    DecodeSession,
     LoraAdapter,
     ModelConfig,
     attention_mask,
@@ -218,9 +218,9 @@ def reference_gqa(q, k, v, wo, cfg, window):
     out = np.zeros((t_total, cfg.n_heads * d))
     for h in range(cfg.n_heads):
         kv = h // cfg.group_size
-        qs = q[:, h * d:(h + 1) * d]
-        ks = k[:, kv * d:(kv + 1) * d]
-        vs = v[:, kv * d:(kv + 1) * d]
+        qs = q[:, h]
+        ks = k[:, kv]
+        vs = v[:, kv]
         for t in range(t_total):
             lo = 0 if window is None else max(0, t - window + 1)
             js = np.arange(lo, t + 1)
@@ -233,9 +233,9 @@ def reference_gqa(q, k, v, wo, cfg, window):
 class TestGqaAttention:
     def _inputs(self, cfg, t_len, seed=0):
         rng = np.random.default_rng(seed)
-        q = rng.normal(size=(t_len, cfg.hidden_size))
-        k = rng.normal(size=(t_len, cfg.kv_dim))
-        v = rng.normal(size=(t_len, cfg.kv_dim))
+        q = rng.normal(size=(t_len, cfg.n_heads, cfg.head_dim))
+        k = rng.normal(size=(t_len, cfg.n_kv_heads, cfg.head_dim))
+        v = rng.normal(size=(t_len, cfg.n_kv_heads, cfg.head_dim))
         wo = rng.normal(size=(cfg.hidden_size, cfg.hidden_size))
         return q, k, v, wo
 
@@ -258,14 +258,14 @@ class TestGqaAttention:
     def test_single_position_is_projected_value(self):
         cfg = tiny_config()
         rng = np.random.default_rng(2)
-        v = rng.normal(size=(1, cfg.kv_dim))
+        v = rng.normal(size=(1, cfg.n_kv_heads, cfg.head_dim))
         wo = rng.normal(size=(cfg.hidden_size, cfg.hidden_size))
         mask = attention_mask(1, None, "f64")
         outs = []
         for seed in (3, 4):
             rng2 = np.random.default_rng(seed)
-            q = rng2.normal(size=(1, cfg.hidden_size)) * 10.0
-            k = rng2.normal(size=(1, cfg.kv_dim)) * 10.0
+            q = rng2.normal(size=(1, cfg.n_heads, cfg.head_dim)) * 10.0
+            k = rng2.normal(size=(1, cfg.n_kv_heads, cfg.head_dim)) * 10.0
             outs.append(gqa_attention(Tensor(q), Tensor(k), Tensor(v), Tensor(wo),
                                       mask, cfg).data)
         # value vector repeats across the head group before projection
@@ -292,9 +292,9 @@ class TestGqaAttention:
     def test_gradient(self):
         cfg = tiny_config(hidden_size=8, n_heads=2, n_kv_heads=1, intermediate_size=12)
         rng = np.random.default_rng(5)
-        q = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
-        k = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        v = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        q = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
+        k = Tensor(rng.normal(size=(3, 1, 4)), requires_grad=True)
+        v = Tensor(rng.normal(size=(3, 1, 4)), requires_grad=True)
         wo = Tensor(rng.normal(size=(8, 8)), requires_grad=True)
         mask = attention_mask(3, None, "f64")
         errs = check_grad(lambda: T.tsum(gqa_attention(q, k, v, wo, mask, cfg)),
@@ -408,6 +408,18 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(params, [], cfg)
 
+    @pytest.mark.parametrize("bad", [32, -1])
+    def test_token_id_out_of_range(self, bad):
+        cfg, params = tiny_model(seed=10)
+        message = r"token id out of range \[0, 32\)"
+        assert cfg.vocab_size == 32
+        with pytest.raises(ValueError, match=message):
+            forward(params, [1, bad], cfg)
+        session = DecodeSession(params, cfg, 4)
+        with no_grad(), pytest.raises(ValueError, match=message):
+            forward(params, [1, bad], cfg, cache=session)
+        assert session.pos == 0
+
     def test_end_to_end_gradcheck(self):
         cfg, params = tiny_model(seed=5, hidden_size=8, n_heads=2, n_kv_heads=1,
                                  intermediate_size=12, vocab_size=16, sliding_window=2)
@@ -517,7 +529,7 @@ class TestKVCache:
     @pytest.mark.parametrize("window", [None, 3])
     def test_rewind_overwrites_stale_rows(self, window):
         cfg, params = tiny_model(seed=7, sliding_window=window)
-        cache = KVCache(cfg, 6, params.dtype)
+        cache = DecodeSession(params, cfg, 6)
         with no_grad():
             forward(params, [4, 8, 15, 16], cfg, cache=cache)
             cache.pos = 1
@@ -528,7 +540,7 @@ class TestKVCache:
 
     def test_reads_only_the_window(self):
         cfg, params = tiny_model(seed=8, sliding_window=2)
-        cache = KVCache(cfg, 5, params.dtype)
+        cache = DecodeSession(params, cfg, 5)
         with no_grad():
             forward(params, [1, 2, 3], cfg, cache=cache)
             for buf in (cache.k_cache, cache.v_cache):
@@ -540,9 +552,9 @@ class TestKVCache:
     def test_misuse_rejected(self):
         cfg, params = tiny_model(seed=9, max_context=8)
         with pytest.raises(ValueError):
-            forward(params, [1, 2], cfg, cache=KVCache(cfg, 4, params.dtype))  # records grad
+            forward(params, [1, 2], cfg, cache=DecodeSession(params, cfg, 4))  # records grad
         with pytest.raises(ValueError):
-            KVCache(cfg, 9, params.dtype)
-        cache = KVCache(cfg, 2, params.dtype)
+            DecodeSession(params, cfg, 9)
+        cache = DecodeSession(params, cfg, 2)
         with no_grad(), pytest.raises(ValueError):
             forward(params, [1, 2, 3], cfg, cache=cache)

@@ -5,9 +5,9 @@ API (`Trainer.run`, `run_sft`, `dpo_train`, `evals.generate`, ...), so a
 change that breaks that API fails here instead of in a benchmark run.
 Operations are counted by the benchmark's own `Ops`. A traced episode
 must also yield every per-layer metric, each a finite number that JSON
-can carry. A traced benchmark run of pretrain_mid and of chat_small, end
-to end in a subprocess, must print a strict-JSON result line that
-carries every metric.
+can carry. A traced benchmark run of each workload, end to end in a
+subprocess, must print a strict-JSON result line that carries every
+metric.
 """
 
 import json
@@ -60,8 +60,9 @@ def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name} in the result line")
 
 
-# eval_mid is left out: its traced run takes about 8 s.
-@pytest.mark.parametrize("name", ["pretrain_mid", "chat_small"])
+# eval_mid's traced run takes about 8 s; it is the only workload whose
+# trace wraps DecodeSession.step.
+@pytest.mark.parametrize("name", ["pretrain_mid", "chat_small", "eval_mid"])
 def test_traced_run_prints_every_metric(name):
     # --seconds below ~0.3 ends with "no episode completed": the reference
     # kernel runs before the first episode.

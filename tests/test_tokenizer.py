@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,7 @@ class TestVocabFiles:
         lines = path.read_text(encoding="ascii").splitlines()
         for i, line in enumerate(lines):
             assert base64.b64decode(line) == v.id_to_token[i]
+        assert load_vocab(path).id_to_token == v.id_to_token  # the empty line is b""
 
     def test_merges_file_round_trip(self, tmp_path):
         merges = [(b"a", b"a"), (b"aa", b"a"), (b"a", b"b")]
@@ -138,6 +140,31 @@ class TestVocabFiles:
         loaded = load_vocab(tmp_path / "vocab.txt", merges_path=tmp_path / "merges.txt")
         for text in ("aaab", "mixed aaa b text"):
             assert encode(text, loaded) == encode(text, v)
+
+    def test_vocab_line_not_base64_names_file_and_line(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("YQ==\n!!\n", encoding="ascii")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: '!!' is not base64"):
+            load_vocab(path)
+
+    def test_first_of_two_bad_vocab_lines_is_named(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("YQ==\n!!\n??\n", encoding="ascii")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: "):
+            load_vocab(path)
+
+    def test_merges_line_without_space_names_file_and_line(self, tmp_path):
+        path = tmp_path / "merges.txt"
+        path.write_text("YQ== Yg==\nYQ==YQ==\n", encoding="ascii")
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(str(path))}:2: expected two base64 fields"):
+            load_merges(path)
+
+    def test_merges_field_not_base64_names_file_and_line(self, tmp_path):
+        path = tmp_path / "merges.txt"
+        path.write_text("\nYQ== !!\n", encoding="ascii")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: '!!' is not base64"):
+            load_merges(path)
 
     def test_specials_supplied_at_load(self, tmp_path):
         v = byte_fallback_vocab()
