@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -110,13 +111,20 @@ def sft_loss(params: ModelParams, config: ModelConfig, examples) -> Tensor | Non
     Examples with no scored position are skipped with a warning; None is
     returned when nothing in the batch is usable.
     """
+    usable = _usable_examples(examples)
+    if not usable:
+        return None
+    return batch_loss(params, config, usable)
+
+
+def _usable_examples(examples) -> list:
+    """The examples that score at least one position; the others are
+    skipped with one warning that counts them."""
     usable = [(x, t) for x, t in examples if np.any(t != IGNORE_INDEX)]
     if len(usable) < len(examples):
         warnings.warn(f"skipped {len(examples) - len(usable)} example(s) with no "
                       "assistant tokens", RuntimeWarning)
-    if not usable:
-        return None
-    return batch_loss(params, config, usable)
+    return usable
 
 
 @dataclass(frozen=True)
@@ -141,7 +149,10 @@ class SftPlan:
 def run_sft(params: ModelParams, config: ModelConfig,
             conversations: Sequence[Conversation], vocab: Vocab,
             plan: SftPlan | None = None, log_path=None) -> list[dict]:
-    """Epoch-based SFT over rendered conversations; returns the log records."""
+    """Epoch-based SFT over rendered conversations; returns the log records.
+
+    Each step backpropagates its usable examples one at a time.
+    """
     plan = plan if plan is not None else SftPlan()
     examples = [sft_example(*render_chat(conv, vocab)) for conv in conversations]
     for inputs, _ in examples:
@@ -166,12 +177,13 @@ def run_sft(params: ModelParams, config: ModelConfig,
         order = rng.permutation(len(examples))
         for lo in range(0, len(order), plan.batch_size):
             batch = [examples[i] for i in order[lo:lo + plan.batch_size]]
-            loss = sft_loss(params, config, batch)
+            usable = _usable_examples(batch)
             tokens_seen += sum(len(x) for x, _ in batch)
-            if loss is None:
+            if not usable:
                 continue
             lr = cosine_lr(min(tokens_seen, total_tokens), schedule)
-            train_loss = optimize(loss, opt, lr)
+            parts = [partial(sft_loss, params, config, [example]) for example in usable]
+            train_loss = optimize(parts, opt, lr)
             log_step(records, {"step": opt.step_count, "tokens_seen": tokens_seen,
                                "lr": lr, "train_loss": train_loss}, log_path)
     return records

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
@@ -217,8 +217,11 @@ def dpo_train(params: ModelParams, config: ModelConfig, stages: Sequence[DpoStag
               ) -> tuple[dict[str, LoraAdapter], list[dict]]:
     """Train one shared adapter set across the stages; base weights frozen.
 
-    Returns the adapters and the per-step log records. The caller merges
-    with lora_merge when a standalone model is wanted.
+    Each step backpropagates its pairs one at a time, so adapter
+    gradients sum per pair rather than per sequence: they match the
+    whole batch's to rounding, not bit for bit. Returns the adapters and
+    the per-step log records. The caller merges with lora_merge when a
+    standalone model is wanted.
     """
     plan = plan if plan is not None else DpoPlan()
     adapters = init_lora_adapters(params, rank=plan.rank, alpha=plan.alpha, seed=plan.seed)
@@ -236,21 +239,20 @@ def dpo_train(params: ModelParams, config: ModelConfig, stages: Sequence[DpoStag
             ref_cache = [tuple(float(sequence_logprob(base, config, prompt_ids, resp).item())
                                for resp in (chosen, rejected))
                          for prompt_ids, chosen, rejected in rendered]
+
+        def pair_loss(i: int) -> Tensor:
+            prompt_ids, chosen, rejected = rendered[i]
+            return dpo_loss(
+                [sequence_logprob(base, config, prompt_ids, chosen, adapters=adapters)],
+                [sequence_logprob(base, config, prompt_ids, rejected, adapters=adapters)],
+                [ref_cache[i][0]], [ref_cache[i][1]], beta=plan.beta)
+
         for epoch in range(stage.epochs):
             rng = np.random.default_rng(plan.seed + 104729 * stage_idx + epoch)
             order = rng.permutation(len(rendered))
             for lo in range(0, len(order), plan.batch_size):
-                plc, plr, rlc, rlr = [], [], [], []
-                for i in order[lo:lo + plan.batch_size]:
-                    prompt_ids, chosen, rejected = rendered[i]
-                    plc.append(sequence_logprob(base, config, prompt_ids, chosen,
-                                                adapters=adapters))
-                    plr.append(sequence_logprob(base, config, prompt_ids, rejected,
-                                                adapters=adapters))
-                    rlc.append(ref_cache[i][0])
-                    rlr.append(ref_cache[i][1])
-                loss = dpo_loss(plc, plr, rlc, rlr, beta=plan.beta)
-                train_loss = optimize(loss, opt, stage.lr)
+                parts = [partial(pair_loss, i) for i in order[lo:lo + plan.batch_size]]
+                train_loss = optimize(parts, opt, stage.lr)
                 log_step(records, {"step": opt.step_count, "stage": stage_idx,
                                    "lr": stage.lr, "train_loss": train_loss}, log_path)
     return adapters, records

@@ -1,6 +1,12 @@
 """Staged pretraining loop, and the optimizer step and step log that
 pretraining, SFT and DPO share.
 
+A step is a list of micro-batches: each packed window is one. The
+optimizer step backpropagates each micro-batch's loss, times its 1/n
+share of the batch, before it builds the next, so a step holds one
+window's autograd graph at a time. The gradients it sums are the
+whole batch's bit for bit.
+
 The learning-rate schedule is evaluated after counting the current
 batch into tokens_seen, so the first logged lr is peak * batch/warmup
 rather than zero. Stage membership (and with it the training sequence
@@ -12,9 +18,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,23 +36,42 @@ class TrainingDiverged(RuntimeError):
     """Loss became non-finite; the run was aborted."""
 
 
-def optimize(loss: Tensor, opt: AdamW, lr: float) -> float:
-    """One optimizer step on `loss`; returns the loss value.
+def optimize(parts: Sequence[Callable[[], Tensor]], opt: AdamW, lr: float) -> float:
+    """One optimizer step over the micro-batches `parts`; returns the loss.
 
-    A non-finite loss raises TrainingDiverged before any gradient or
-    weight changes. Otherwise: backward, global-norm clipping to the
-    optimizer's clip_norm, and an AdamW step at `lr`. Gradients are
-    cleared afterwards, also when clipping finds a non-finite norm.
+    Each part builds one micro-batch's mean loss. Its share, loss * 1/n,
+    is backpropagated before the next part is built, so gradients
+    accumulate while at most one part's graph is alive. The returned
+    value is the dtype sum of the part losses times 1/n, the mean that
+    one graph over the whole batch computes. Then: global-norm clipping
+    to the optimizer's clip_norm, and an AdamW step at `lr`.
+
+    A non-finite loss, of any part or of the mean, raises
+    TrainingDiverged before any weight, moment or step count changes.
+    Gradients are cleared afterwards in every case, also when clipping
+    finds a non-finite norm, and also the ones earlier parts added
+    before a later part diverged.
     """
-    value = float(loss.item())
-    if not math.isfinite(value):
-        raise TrainingDiverged(f"step {opt.step_count}: loss is {value}")
-    loss.backward()
+    share = 1.0 / len(parts)
+    losses = []
     try:
+        for part in parts:
+            loss = part()
+            _check_finite(loss, opt)
+            losses.append(Tensor(loss.data))
+            mul(loss, share).backward()
+        mean = _check_finite(mul(reduce(add, losses), share), opt)
         clip_grad_norm(opt.grads(), opt.hyper.clip_norm)
         opt.step(lr)
     finally:
         opt.zero_grad()
+    return mean
+
+
+def _check_finite(loss: Tensor, opt: AdamW) -> float:
+    value = float(loss.item())
+    if not math.isfinite(value):
+        raise TrainingDiverged(f"step {opt.step_count}: loss is {value}")
     return value
 
 
@@ -190,11 +215,13 @@ class Trainer:
         return float(loss.item())
 
     def train_step(self, batch, seq_len: int) -> dict:
-        """One optimization step on an explicit batch; returns the log record."""
-        loss = batch_loss(self.params, self.config, batch, fp8=self.plan.fp8)
+        """One optimization step on an explicit batch, one window per
+        micro-batch; returns the log record."""
+        parts = [partial(batch_loss, self.params, self.config, [window], fp8=self.plan.fp8)
+                 for window in batch]
         tokens = sum(len(window) for window, _ in batch)
         lr = cosine_lr(self.tokens_seen + tokens, self.plan.schedule)
-        train_loss = optimize(loss, self.opt, lr)
+        train_loss = optimize(parts, self.opt, lr)
         self.tokens_seen += tokens
         return {"step": self.step, "tokens_seen": self.tokens_seen, "lr": lr,
                 "seq_len": seq_len, "train_loss": train_loss}

@@ -152,9 +152,15 @@ def _b64(path, lineno: int, field: str) -> bytes:
 def load_vocab(path, merges_path=None, bos_id: int | None = None,
                eos_id: int | None = None, pad_id: int | None = None) -> Vocab:
     """One base64 token per line; an empty line is the empty token. A line
-    that is not base64 raises ValueError "<path>:<line>: ..."."""
+    that is not base64, or that repeats an earlier line's token, raises
+    ValueError "<path>:<line>: ..."."""
     lines = Path(path).read_text(encoding="ascii").splitlines()
     tokens = [_b64(path, lineno, line) for lineno, line in enumerate(lines, start=1)]
+    first_line: dict[bytes, int] = {}
+    for lineno, token in enumerate(tokens, start=1):
+        if first_line.setdefault(token, lineno) != lineno:
+            raise ValueError(f"{path}:{lineno}: duplicate token {token!r}, "
+                             f"first at line {first_line[token]}")
     merges = load_merges(merges_path) if merges_path is not None else ()
     return Vocab(tokens, bos_id=bos_id, eos_id=eos_id, pad_id=pad_id, merges=merges)
 

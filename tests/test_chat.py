@@ -10,11 +10,12 @@ from deskllm.chat import (Conversation, SftPlan, Turn, chat_vocab, load_conversa
                           render_chat, run_sft, save_conversations, sft_example, sft_loss)
 from deskllm import chat as chat_module
 from deskllm.model import forward
-from deskllm.pretrain import TrainingDiverged
+from deskllm.pretrain import TrainingDiverged, batch_grads
 from deskllm.tensor import IGNORE_INDEX, cross_entropy, no_grad
 from deskllm.tokenizer import byte_fallback_vocab, encode
 
 from modelutil import tiny_model
+from test_pretrain import StepGrads, capture_step_grads
 
 CHAT_VOCAB = chat_vocab()
 
@@ -297,6 +298,22 @@ class TestRunSft:
         assert opt.step_count == 0
         assert not any(m.any() for m in opt.m.values())
         assert not any(v.any() for v in opt.v.values())
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_example_grads_equal_whole_batch_bitwise(self, monkeypatch, dtype):
+        cfg, params = tiny_model(seed=18, dtype=dtype, vocab_size=len(CHAT_VOCAB),
+                                 max_context=64)
+        convs = training_conversations()[:6]
+        plan = SftPlan(lr=1e-3, batch_size=len(convs), epochs=1, seed=2)
+        order = np.random.default_rng(plan.seed).permutation(len(convs))  # epoch 0's
+        whole = batch_grads(params, cfg, [sft_example(*render_chat(convs[i], CHAT_VOCAB))
+                                          for i in order])
+        grads = capture_step_grads(monkeypatch)
+        with pytest.raises(StepGrads):
+            run_sft(params, cfg, convs, CHAT_VOCAB, plan)
+        assert len(grads) == len(whole)
+        for got, want in zip(grads, whole.values()):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_lr_follows_cosine_schedule(self):
         cfg, params = tiny_model(seed=16, vocab_size=len(CHAT_VOCAB), max_context=64)

@@ -21,6 +21,7 @@ from deskllm.tensor import Tensor, no_grad
 from deskllm.tokenizer import byte_fallback_vocab, encode
 
 from modelutil import tiny_model
+from test_pretrain import StepGrads, capture_step_grads
 
 CHAT_VOCAB = chat_vocab()
 
@@ -451,14 +452,54 @@ class TestDpoTrain:
         seen = []
         real_optimize = dpo_module.optimize
 
-        def spy(loss, opt, lr):
+        def spy(parts, opt, lr):
             seen.append({n: t.requires_grad for n, t in named.items()})
-            return real_optimize(loss, opt, lr)
+            return real_optimize(parts, opt, lr)
 
         monkeypatch.setattr(dpo_module, "optimize", spy)
         dpo_train(params, cfg, [DpoStage(toy_pairs(), lr=1e-3, epochs=2)], CHAT_VOCAB,
                   DpoPlan(seed=8))
         assert len(seen) > 1 and all(step == flags for step in seen)
+
+    @pytest.mark.parametrize("dtype, rel", [("f64", 1e-12), ("f32", 1e-5)])
+    def test_pair_grads_match_whole_batch(self, monkeypatch, dtype, rel):
+        # A pair feeds the adapters twice (chosen, rejected), so per-pair
+        # accumulation sums their grads in another order than one graph.
+        cfg, params = tiny_model(seed=32, dtype=dtype, vocab_size=len(CHAT_VOCAB),
+                                 max_context=64)
+        pairs = toy_pairs() + (PreferencePair(prompt("ef"), "left", "right"),
+                               PreferencePair(prompt("gh"), "hot", "cold"))
+        made = []
+        real_init = dpo_module.init_lora_adapters
+
+        def init_nonzero_b(*args, **kwargs):
+            adapters = real_init(*args, **kwargs)
+            rng = np.random.default_rng(0)
+            for ad in adapters.values():
+                ad.b.data[...] = rng.normal(0.0, 0.02, ad.b.shape)
+            made.append(adapters)
+            return adapters
+
+        monkeypatch.setattr(dpo_module, "init_lora_adapters", init_nonzero_b)
+        grads = capture_step_grads(monkeypatch)
+        plan = DpoPlan(seed=9, batch_size=len(pairs))
+        with pytest.raises(StepGrads):
+            dpo_train(params, cfg, [DpoStage(pairs, lr=1e-3)], CHAT_VOCAB, plan)
+        (adapters,) = made
+        order = np.random.default_rng(plan.seed).permutation(len(pairs))  # epoch 0's
+        rendered = [render_pair(pairs[i], CHAT_VOCAB) for i in order]
+        with no_grad():
+            ref = [[float(sequence_logprob(params, cfg, p, resp).item()) for resp in (c, r)]
+                   for p, c, r in rendered]
+        policy = [[sequence_logprob(params, cfg, p, resp, adapters=adapters)
+                   for resp in (c, r)] for p, c, r in rendered]
+        dpo_loss(*zip(*policy), *zip(*ref), beta=plan.beta).backward()
+        whole = [getattr(ad, part).grad for ad in adapters.values() for part in "ab"]
+        assert len(grads) == len(whole)
+        for got, want in zip(grads, whole):
+            scale = np.max(np.abs(want))
+            assert scale > 0
+            assert np.max(np.abs(got - want)) <= rel * scale
 
     def test_rerun_is_deterministic(self):
         stages_lr = 1e-3

@@ -383,6 +383,25 @@ class TestForward:
         assert np.array_equal(a[:3], b[:3])
         assert not np.array_equal(a[3], b[3])
 
+    @pytest.mark.parametrize("window", [2, 3, 5])
+    def test_window_reach_is_exact(self, window):
+        # Each layer carries a token window - 1 rows further, so an edit
+        # at s reaches row s + L·(W − 1) and bitwise no later row.
+        cfg, params = tiny_model(seed=4, n_layers=2, sliding_window=window)
+        t_len, s = 24, 3
+        reach = s + cfg.n_layers * (window - 1)
+        assert t_len > reach + 1 and t_len > cfg.n_layers * window
+        ids = np.random.default_rng(window).integers(0, cfg.vocab_size, t_len)
+        edited = ids.copy()
+        edited[s] = (ids[s] + 1) % cfg.vocab_size
+        with no_grad():
+            a = forward(params, ids, cfg).data
+            b = forward(params, edited, cfg).data
+        assert a.dtype == np.float64
+        assert np.array_equal(a[:s], b[:s])
+        assert all(not np.array_equal(a[row], b[row]) for row in range(s, reach + 1))
+        assert np.array_equal(a[reach + 1:], b[reach + 1:])
+
     def test_straight_line_oracle(self):
         cfg, params = tiny_model(seed=2, sliding_window=3)
         ids = [5, 1, 9, 9, 0, 30, 17]

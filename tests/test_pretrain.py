@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import gc
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from deskllm import pretrain as pretrain_module
 from deskllm.data import DataStage, Document
 from deskllm.errors import ConfigError
 from deskllm.optim import AdamW, LrSchedule, NonFiniteGradError, OptimHyper
@@ -113,6 +115,35 @@ class TestTrainStep:
             assert t.grad is None
             assert not trainer.opt.m[name].any() and not trainer.opt.v[name].any()
 
+    def test_nonfinite_third_window_leaves_the_step_undone(self, monkeypatch):
+        trainer, cfg, params = make_trainer()
+        batch = fixed_batch(cfg, n=4)
+        trainer.train_step(batch, seq_len=8)  # nonzero moments to compare against
+        named = params.named_tensors()
+        opt = trainer.opt
+        before = {n: (t.data.copy(), opt.m[n].copy(), opt.v[n].copy())
+                  for n, t in named.items()}
+        real_batch_loss = pretrain_module.batch_loss
+        grads_seen = []
+
+        def third_window_diverges(*args, **kwargs):
+            grads_seen.append(all(t.grad is not None for t in named.values()))
+            loss = real_batch_loss(*args, **kwargs)
+            return mul(loss, np.nan) if len(grads_seen) == 3 else loss
+
+        monkeypatch.setattr(pretrain_module, "batch_loss", third_window_diverges)
+        with pytest.raises(TrainingDiverged, match="step 1: loss is nan"):
+            trainer.train_step(batch, seq_len=8)
+        # the first two windows were backpropagated before the third diverged
+        assert grads_seen == [False, True, True]
+        assert (trainer.step, trainer.tokens_seen, opt.step_count) == (1, 32, 1)
+        for name, t in named.items():
+            data, m, v = before[name]
+            assert t.data.tobytes() == data.tobytes()
+            assert opt.m[name].tobytes() == m.tobytes()
+            assert opt.v[name].tobytes() == v.tobytes()
+            assert t.grad is None
+
     def test_fp8_step_runs_and_is_finite(self):
         trainer, cfg, _ = make_trainer(fp8=True)
         batch = fixed_batch(cfg)
@@ -128,22 +159,76 @@ class TestOptimize:
 
     def test_step_returns_loss_and_clears_grads(self):
         p, opt = self.scalar_param(2.0)
-        assert optimize(tsum(mul(p, 3.0)), opt, lr=0.1) == 6.0
+        assert optimize([lambda: tsum(mul(p, 3.0))], opt, lr=0.1) == 6.0
         assert p.grad is None and opt.step_count == 1
         assert p.data[0] == pytest.approx(1.9, abs=1e-8)  # clipped to norm 1
 
     def test_nonfinite_loss_changes_nothing(self):
         p, opt = self.scalar_param(2.0)
         with pytest.raises(TrainingDiverged):
-            optimize(tsum(mul(p, np.inf)), opt, lr=0.1)
+            optimize([lambda: tsum(mul(p, np.inf))], opt, lr=0.1)
         assert p.grad is None and opt.step_count == 0 and p.data[0] == 2.0
         assert opt.m["p"][0] == 0.0 and opt.v["p"][0] == 0.0
 
     def test_nonfinite_gradient_norm_clears_grads(self):
         p, opt = self.scalar_param(1.0)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteGradError):
-            optimize(tsum(mul(p, 1e308)), opt, lr=0.1)
+            optimize([lambda: tsum(mul(p, 1e308))], opt, lr=0.1)
         assert p.grad is None and opt.step_count == 0 and p.data[0] == 1.0
+
+
+class StepGrads(Exception):
+    """Raised at the clip to stop a step once every micro-batch is backpropagated."""
+
+
+def capture_step_grads(monkeypatch) -> list:
+    """Make the next `optimize` record its accumulated gradients, in the
+    optimizer's parameter order, and raise StepGrads before clipping."""
+    grads = []
+
+    def spy(arrays, max_norm):
+        grads.extend(g.copy() for g in arrays)
+        raise StepGrads
+
+    monkeypatch.setattr(pretrain_module, "clip_grad_norm", spy)
+    return grads
+
+
+class TestAccumulation:
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_window_grads_equal_whole_batch_bitwise(self, monkeypatch, dtype):
+        cfg, params = tiny_model(seed=3, dtype=dtype, vocab_size=len(VOCAB))
+        trainer, _, _ = make_trainer(params=params, cfg=cfg)
+        batch = fixed_batch(cfg, n=4, seed=1)
+        whole = batch_grads(params, cfg, batch)
+        grads = capture_step_grads(monkeypatch)
+        with pytest.raises(StepGrads):
+            trainer.train_step(batch, seq_len=8)
+        assert len(grads) == len(whole)
+        for got, want in zip(grads, whole.values()):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_step_memory_does_not_grow_with_the_batch(self):
+        # Each window's graph is freed before the next is built, so a
+        # 4-window step peaks near a 1-window one; one graph over the
+        # whole batch would peak at about 3x.
+        cfg, params = tiny_model(seed=4, dtype="f32", hidden_size=64, intermediate_size=172,
+                                 n_heads=8, n_kv_heads=2, vocab_size=len(VOCAB),
+                                 max_context=128)
+        trainer, _, _ = make_trainer(params=params, cfg=cfg)
+        batch = fixed_batch(cfg, seq_len=128, n=4)
+        trainer.train_step(batch[:1], seq_len=128)  # warm-up
+        peaks = []
+        tracemalloc.start()
+        try:
+            for n in (1, 4):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                trainer.train_step(batch[:n], seq_len=128)
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
 
 
 class TestRunLoop:

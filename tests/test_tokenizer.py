@@ -153,6 +153,13 @@ class TestVocabFiles:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: "):
             load_vocab(path)
 
+    def test_duplicate_vocab_line_names_both_lines(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("Yg==\nYQ==\nYw==\nYQ==\n", encoding="ascii")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:4: duplicate token "
+                                             r"b'a', first at line 2$"):
+            load_vocab(path)
+
     def test_merges_line_without_space_names_file_and_line(self, tmp_path):
         path = tmp_path / "merges.txt"
         path.write_text("YQ== Yg==\nYQ==YQ==\n", encoding="ascii")
