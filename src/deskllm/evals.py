@@ -11,7 +11,10 @@ prompt once; each choice rewinds the cache to the end of the prompt and
 forwards only its own tokens. It stays off `batch_loss` for that reason:
 a full forward per choice would re-run the shared prefix, and its
 log-softmax is taken in f64 rather than in the model dtype. Evaluation
-reads plain weights; score a LoRA policy through `dpo.lora_merge`.
+reads plain weights; score a LoRA policy through `dpo.lora_merge`. With
+fp8, a `perplexity` call and a `DecodeSession` (one per `mc_score` or
+cached `generate` call) round the weights once (`model.fp8_weights`), so
+each call reads the weights as they were when it started.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .data import pack_sequences, read_jsonl, write_jsonl
 from .errors import ConfigError
-from .model import DecodeSession, ModelConfig, ModelParams, forward
+from .model import DecodeSession, ModelConfig, ModelParams, forward, fp8_weights
 from .pretrain import batch_loss
 from .tensor import IGNORE_INDEX, no_grad
 from .tokenizer import Vocab, decode, encode
@@ -45,11 +48,14 @@ def perplexity(params: ModelParams, config: ModelConfig, token_docs, seq_len: in
 
     Each window is scored by its own batch_loss call, so the mean over
     windows is taken in Python floats rather than in the model dtype.
+    With fp8 the weights are rounded once per call, for every window.
     """
     if seq_len > config.max_context:
         raise ValueError(f"seq_len {seq_len} exceeds context {config.max_context}")
     total_nll, scored = 0.0, 0
     with no_grad():
+        if fp8:
+            params = fp8_weights(params)
         for inputs, targets in pack_sequences(token_docs, seq_len, eos_id):
             n = int(np.sum(targets != IGNORE_INDEX))
             loss = batch_loss(params, config, [(inputs, targets)], fp8=fp8)
@@ -218,15 +224,15 @@ def generate(params: ModelParams, config: ModelConfig, prompt_ids, *, max_new: i
     rng = np.random.default_rng(seed)
     ids = prompt.tolist()
     generated: list[int] = []
-    session = DecodeSession(params, config, min(prompt.size + max_new, config.max_context),
-                            fp8=fp8)
+    session = (DecodeSession(params, config, min(prompt.size + max_new, config.max_context),
+                             fp8=fp8) if use_cache else None)
     while len(generated) < max_new and len(ids) < config.max_context:
-        if use_cache:
+        if session is not None:
             row = session.step(ids[session.pos:])[-1]
         else:
             with no_grad():
                 row = forward(params, ids, config, fp8=fp8).data[-1]
-        nxt = _pick_token(row.astype(np.float64), ids, temperature, repetition_penalty, rng)
+        nxt = _pick_token(row, ids, temperature, repetition_penalty, rng)
         generated.append(nxt)
         ids.append(nxt)
         if eos_id is not None and nxt == eos_id:

@@ -8,6 +8,9 @@ smallest positive step of 2**-9. Conversion rounds to nearest with
 ties to even and saturates beyond +/-448.
 
 Only the numerics are emulated; storage stays in the input float dtype.
+The model reads its weights rounded through `model.fp8_weights`, which
+an evaluation call applies once, and rounds each linear layer's input
+at forward time.
 """
 
 from __future__ import annotations
@@ -25,18 +28,30 @@ _SUBNORMAL_ULP_EXP = -9
 
 
 def fp8_e4m3(x) -> np.ndarray:
-    """Round an array to the nearest E4M3 value (saturating, NaN-preserving)."""
+    """Round an array to the nearest E4M3 value (saturating, NaN-preserving).
+
+    A float array keeps its dtype; any other input is rounded in float64.
+    """
     arr = np.asarray(x)
     if arr.dtype.kind != "f":
         arr = arr.astype(np.float64)
+    # Every step writes into one of two buffers (`out=` keeps 0-d input an array).
+    work = np.clip(arr, -E4M3_MAX, E4M3_MAX, out=np.empty_like(arr))
+    ulp = np.empty_like(work)
+    # The exponent bits of v alone (those of inf) encode 2**floor(log2|v|)
+    # for a normal v and 0 below the normals: over 2**3 that is the E4M3
+    # ulp, which the maximum pins at the subnormal step.
+    uint = np.dtype(f"u{arr.dtype.itemsize}")
+    np.bitwise_and(work.view(uint), np.array(np.inf, arr.dtype).view(uint), out=ulp.view(uint))
+    ulp *= 0.125
+    np.maximum(ulp, 2.0 ** _SUBNORMAL_ULP_EXP, out=ulp)
     # Rounding in the input dtype is exact: the ulp is a power of two, so
     # scaling by it is exact, and the dtype holds every E4M3 value.
-    work = np.clip(arr, -E4M3_MAX, E4M3_MAX)
-    # frexp writes |v| = m * 2**e with m in [0.5, 1), so floor(log2|v|) = e - 1.
-    _, exps = np.frexp(work)
-    ulp = np.ldexp(arr.dtype.type(1.0), np.maximum(exps - 4, _SUBNORMAL_ULP_EXP))
     with np.errstate(invalid="ignore"):
-        return np.round(work / ulp) * ulp
+        work /= ulp
+        np.round(work, out=work)
+        work *= ulp
+    return work
 
 
 def fp8_emulate(x: Tensor) -> Tensor:

@@ -6,7 +6,8 @@ sliding-window causal masking, grouped-query attention, and a gated
 (silu) MLP. No biases and no dropout anywhere; neither is configurable.
 Only this module knows the parameter layout: `LAYER_KEYS`, `param_shapes`
 and `ModelParams.build`, which makes tensors in `named_tensors` order.
-LoRA only reparametrizes weights (`lora_weights`); blocks read plain ones.
+LoRA and fp8 only reparametrize weights (`lora_weights`, `fp8_weights`);
+blocks read plain ones, and with fp8 round each sublayer's input once.
 `DecodeSession` caches one model's rotated keys and values; q, k and v
 stay [T, heads, head_dim] from their projections to `T.attention`.
 """
@@ -137,6 +138,10 @@ class ModelParams:
         return self.token_embedding.dtype
 
 
+class Fp8Params(ModelParams):
+    """ModelParams whose attention and MLP weights are E4M3 values (`fp8_weights`)."""
+
+
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter, in named_tensors order."""
     h, inter, kv, v = config.hidden_size, config.intermediate_size, config.kv_dim, config.vocab_size
@@ -223,11 +228,27 @@ def lora_weights(params: ModelParams, adapters: dict[str, LoraAdapter]) -> Model
     return ModelParams.build(len(params.layers), weight)
 
 
+def fp8_weights(params: ModelParams) -> Fp8Params:
+    """The fp8 reparametrization: each attention and MLP weight matrix
+    rounded to E4M3, with gradients passed straight through; the
+    embedding, norm and lm_head weights are the caller's own tensors.
+    Fp8Params come back as they are, so an evaluation call that rounds
+    once hands every forward the same rounded weights. They are a
+    snapshot: a later in-place update of params does not reach them."""
+    if isinstance(params, Fp8Params):
+        return params
+    named = params.named_tensors()
+
+    def weight(name: str) -> Tensor:
+        w = named[name]
+        return fp8_emulate(w) if name.startswith("layers.") and "norm" not in name else w
+
+    return Fp8Params.build(len(params.layers), weight)
+
+
 def linear(x: Tensor, w: Tensor, *, fp8: bool = False) -> Tensor:
-    """x @ w, optionally with E4M3-rounded operands."""
-    if fp8:
-        return T.matmul(fp8_emulate(x), fp8_emulate(w))
-    return T.matmul(x, w)
+    """x @ w; fp8 rounds x to E4M3 (fp8 weights come rounded from fp8_weights)."""
+    return T.matmul(fp8_emulate(x) if fp8 else x, w)
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +343,18 @@ def decoder_block(x: Tensor, layer: LayerParams, mask: Tensor, config: ModelConf
 
     rope is rope_tables for positions when already computed. kv, given a
     session, maps this block's new rotated keys and values, each
-    [T, n_kv_heads, head_dim], to the ones its attention reads.
+    [T, n_kv_heads, head_dim], to the ones its attention reads. fp8 rounds
+    each linear input to E4M3, a normed input once for all its
+    projections; the weights must come from fp8_weights.
     """
     t_len, d = x.shape[0], config.head_dim
     if positions is None:
         positions = np.arange(t_len)
 
     h = T.rms_norm(x, layer.norm_attn, config.norm_eps)
-    q, k, v = (T.reshape(linear(h, w, fp8=fp8), (t_len, -1, d))
+    if fp8:
+        h = fp8_emulate(h)
+    q, k, v = (T.reshape(linear(h, w), (t_len, -1, d))
                for w in (layer.wq, layer.wk, layer.wv))
     q = rope_rotate(q, positions, config.rope_theta, tables=rope)
     k = rope_rotate(k, positions, config.rope_theta, tables=rope)
@@ -339,8 +364,10 @@ def decoder_block(x: Tensor, layer: LayerParams, mask: Tensor, config: ModelConf
     x = T.add(x, attn)
 
     h = T.rms_norm(x, layer.norm_mlp, config.norm_eps)
-    gate = T.silu(linear(h, layer.w_gate, fp8=fp8))
-    up = linear(h, layer.w_up, fp8=fp8)
+    if fp8:
+        h = fp8_emulate(h)
+    gate = T.silu(linear(h, layer.w_gate))
+    up = linear(h, layer.w_up)
     y = linear(T.mul(gate, up), layer.w_down, fp8=fp8)
     return T.add(x, y)
 
@@ -353,12 +380,17 @@ class DecodeSession:
     tokens at positions pos.., writes their keys and values to the rows
     after the live ones and advances pos; a step past capacity raises.
     Setting pos back rewinds: the next step overwrites the rows past it.
+    A session reads the weights as of its construction, as its cached K/V
+    already do: with fp8 it rounds them once there (`fp8_weights`).
     """
 
     def __init__(self, params: ModelParams, config: ModelConfig, capacity: int, *,
                  fp8: bool = False):
         if not 0 <= capacity <= config.max_context:
             raise ValueError(f"cache capacity {capacity} outside [0, {config.max_context}]")
+        if fp8:
+            with T.no_grad():
+                params = fp8_weights(params)
         self.params, self.config, self.fp8, self.pos = params, config, fp8, 0
         shape = (2, config.n_layers, capacity, config.n_kv_heads, config.head_dim)
         self.k_cache, self.v_cache = np.zeros(shape, params.dtype)
@@ -386,9 +418,11 @@ def forward(params: ModelParams, tokens, config: ModelConfig, *, fp8: bool = Fal
     """Logits [T, vocab] for one token sequence.
 
     fp8 rounds attention/MLP linear operands to E4M3 at forward time;
-    the embedding, lm_head, and norm weights are never rounded.
-    adapters maps tensor names (as in named_tensors) to LoraAdapter; the
-    forward reads lora_weights(params, adapters), as lora_merge stores.
+    the embedding, lm_head, and norm weights are never rounded. The
+    weights are read through fp8_weights, so Fp8Params are not rounded
+    again. adapters maps tensor names (as in named_tensors) to
+    LoraAdapter; the forward reads lora_weights(params, adapters), as
+    lora_merge stores.
 
     With a cache (a DecodeSession, only under no_grad), the tokens
     continue the cached ones: they sit at positions cache.pos.., attend
@@ -404,6 +438,8 @@ def forward(params: ModelParams, tokens, config: ModelConfig, *, fp8: bool = Fal
         raise ValueError(f"sequence length {t_len} exceeds max_context {config.max_context}")
     if adapters:
         params = lora_weights(params, adapters)
+    if fp8:
+        params = fp8_weights(params)
     start = 0
     if cache is not None:
         if T.grad_enabled():

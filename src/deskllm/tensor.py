@@ -5,6 +5,8 @@ backward graph as they are combined. The op set is deliberately small:
 exactly the kernels a decoder language model needs, each with a
 hand-written backward rule. Gradients land on leaf tensors only;
 intermediate cotangents live in transient buffers during `backward`.
+Under `no_grad` an op result is bare: its array, in its inputs' dtype,
+and no edges; the hot ops return it before building their pulls.
 """
 
 from __future__ import annotations
@@ -72,6 +74,8 @@ class Tensor:
     op result's `_pairs` to None once it has run its pulls.
     """
 
+    __slots__ = ("data", "grad", "requires_grad", "_pairs", "__weakref__")
+
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _as_array(data, dtype)
         self.grad: np.ndarray | None = None
@@ -128,9 +132,18 @@ def _coerce(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _make(data: np.ndarray, pairs) -> Tensor:
-    """Build an op result, keeping only edges to grad-needing parents."""
-    out = Tensor(data)
+def _make(data: np.ndarray, pairs=()) -> Tensor:
+    """Build an op result, keeping only edges to grad-needing parents.
+
+    `data` is already an array of the op's dtype, or a numpy scalar from
+    an op on 0-d arrays, which is wrapped. With grad off no edges are kept,
+    so the hot ops call `_make(data)` before building their pulls.
+    """
+    out = Tensor.__new__(Tensor)
+    out.data = data if type(data) is np.ndarray else np.asarray(data)
+    out.grad = None
+    out.requires_grad = False
+    out._pairs = []
     if _grad_enabled:
         kept = [(p, fn) for p, fn in pairs if p.requires_grad]
         if kept:
@@ -156,6 +169,8 @@ def add(a, b) -> Tensor:
     a = _coerce(a, getattr(b, "dtype", np.float64))
     b = _coerce(b, a.dtype)
     data = a.data + b.data
+    if not _grad_enabled:
+        return _make(data)
     return _make(data, [
         (a, lambda g: _sum_to(g, a.shape)),
         (b, lambda g: _sum_to(g, b.shape)),
@@ -166,6 +181,8 @@ def mul(a, b) -> Tensor:
     a = _coerce(a, getattr(b, "dtype", np.float64))
     b = _coerce(b, a.dtype)
     data = a.data * b.data
+    if not _grad_enabled:
+        return _make(data)
     return _make(data, [
         (a, lambda g: _sum_to(g * b.data, a.shape)),
         (b, lambda g: _sum_to(g * a.data, b.shape)),
@@ -180,6 +197,8 @@ def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x), elementwise."""
     sig = _sigmoid(x.data)
     data = x.data * sig
+    if not _grad_enabled:
+        return _make(data)
     return _make(data, [(x, lambda g: g * (sig * (1.0 + x.data * (1.0 - sig))))])
 
 
@@ -205,7 +224,10 @@ def rotary(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     def turn(a):
         return np.concatenate([-a[..., half:], a[..., :half]], axis=-1)
 
-    return _make(x.data * cos + turn(x.data) * sin, [(x, lambda g: g * cos - turn(g * sin))])
+    data = x.data * cos + turn(x.data) * sin
+    if not _grad_enabled:
+        return _make(data)
+    return _make(data, [(x, lambda g: g * cos - turn(g * sin))])
 
 
 def straight_through(x: Tensor, fn: Callable[[np.ndarray], np.ndarray]) -> Tensor:
@@ -226,12 +248,17 @@ def straight_through(x: Tensor, fn: Callable[[np.ndarray], np.ndarray]) -> Tenso
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     data = a.data.reshape(shape)
+    if not _grad_enabled:
+        return _make(data)
     return _make(data, [(a, lambda g: g.reshape(a.shape))])
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
-    return _make(a.data.transpose(axes), [(a, lambda g: g.transpose(np.argsort(axes)))])
+    data = a.data.transpose(axes)
+    if not _grad_enabled:
+        return _make(data)
+    return _make(data, [(a, lambda g: g.transpose(np.argsort(axes)))])
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +283,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data @ b.data
     except ValueError as exc:
         raise ShapeError(f"matmul batch shapes incompatible: {a.shape} @ {b.shape}") from exc
+    if not _grad_enabled:
+        return _make(data)
     return _make(data, [
         (a, lambda g: _sum_to(g @ _swap(b.data), a.shape)),
         (b, lambda g: _sum_to(_swap(a.data) @ g, b.shape)),
@@ -270,13 +299,16 @@ def embedding(table: Tensor, ids) -> Tensor:
     n_rows = table.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
         raise ValueError(f"token id out of range [0, {n_rows}): min={ids.min()}, max={ids.max()}")
+    data = table.data[ids]  # integer-array indexing copies
+    if not _grad_enabled:
+        return _make(data)
 
     def pull(g):
         full = np.zeros(table.shape, dtype=g.dtype)
         np.add.at(full, ids, g)
         return full
 
-    return _make(table.data[ids].copy(), [(table, pull)])
+    return _make(data, [(table, pull)])
 
 
 # ---------------------------------------------------------------------------
@@ -289,11 +321,13 @@ def tsum(x: Tensor) -> Tensor:
 
 
 def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax along axis, computed in x's own buffer: x must be scratch."""
     m = x.max(axis=axis, keepdims=True)
     masked = m <= MASK_NEG[x.dtype]  # also true for -inf
     with np.errstate(invalid="ignore"):
-        e = np.exp(x - m)
-        s = e / e.sum(axis=axis, keepdims=True)
+        x -= m
+        s = np.exp(x, out=x)
+        s /= s.sum(axis=axis, keepdims=True)
     if masked.any():
         warnings.warn("softmax over fully masked slice; returning zeros", RuntimeWarning)
         s = np.where(masked, 0.0, s).astype(x.dtype)
@@ -314,7 +348,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """
     if not -x.data.ndim <= axis < x.data.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {x.shape}")
-    s = _softmax(x.data, axis)
+    s = _softmax(x.data.copy(), axis)
     return _make(s, [(x, lambda g: _softmax_pull(s, g, axis))])
 
 
@@ -328,7 +362,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor, scale: float) -> Te
     bit for bit, those of the matmul, mul, add, softmax, matmul chain.
     """
     scale = np.asarray(scale, dtype=q.dtype)
-    w = _softmax((q.data @ _swap(k.data)) * scale + mask.data, -1)
+    scores = q.data @ _swap(k.data)
+    scores *= scale
+    scores += mask.data
+    w = _softmax(scores, -1)
+    data = w @ v.data
+    if not _grad_enabled:
+        return _make(data)
     memo = []
 
     def d_scores(g):  # shared by the q and k pulls
@@ -336,7 +376,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor, scale: float) -> Te
             memo.append(_softmax_pull(w, g @ _swap(v.data), -1) * scale)
         return memo[0]
 
-    return _make(w @ v.data, [
+    return _make(data, [
         (q, lambda g: _sum_to(d_scores(g) @ k.data, q.shape)),
         (k, lambda g: _swap(_sum_to(_swap(q.data) @ d_scores(g), _swap(k.data).shape))),
         (v, lambda g: _sum_to(_swap(w) @ g, v.shape)),
@@ -353,6 +393,8 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
     r = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True) / d + eps)
     xn = x.data / r
     data = xn * weight.data
+    if not _grad_enabled:
+        return _make(data)
 
     def pull_x(g):
         gw = g * weight.data
@@ -393,6 +435,8 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     rows = np.nonzero(scored)[0]
     nll = lse[rows] - z[rows, tv]
     data = np.asarray(nll.mean(), dtype=logits.dtype)
+    if not _grad_enabled:
+        return _make(data)
 
     def pull(g):
         full = np.zeros_like(z)

@@ -1,5 +1,6 @@
 """Perplexity, MC scoring, few-shot assembly, exact match, generation."""
 
+import copy
 import json
 import math
 import re
@@ -16,6 +17,8 @@ from deskllm.evals import (DecodeSession, EMTask, MCTask, apply_repetition_penal
 from deskllm.data import write_jsonl
 from deskllm.dpo import init_lora_adapters, lora_merge
 from deskllm.model import forward
+from deskllm.optim import AdamW
+from deskllm.pretrain import batch_loss
 from deskllm.tensor import no_grad
 from deskllm.tokenizer import byte_fallback_vocab, encode
 
@@ -38,6 +41,13 @@ def memorizer_model():
         head[i, (i + 1) % 16] = 100.0
     params.lm_head.data[...] = head
     return cfg, params
+
+
+def adamw_step(params, cfg, ids, lr=0.05):
+    """One real optimizer step, which writes every weight in place."""
+    ids = np.asarray(ids)
+    batch_loss(params, cfg, [(ids[:-1], ids[1:])]).backward()
+    AdamW(params.named_tensors()).step(lr)
 
 
 class TestPerplexity:
@@ -65,6 +75,19 @@ class TestPerplexity:
         a = math.log(perplexity(params, cfg, docs[:2], seq_len=8, eos_id=31))
         b = math.log(perplexity(params, cfg, docs[2:], seq_len=8, eos_id=31))
         assert whole == pytest.approx((a + b) / 2.0, abs=1e-10)
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_fp8_reads_the_weights_of_its_own_call(self, dtype):
+        # fp8 rounds the weights once per call, so an in-place step between
+        # two calls shows in the second, bit for bit as on fresh weights.
+        cfg, params = tiny_model(seed=5, dtype=dtype, vocab_size=32)
+        docs = [list(np.random.default_rng(5).integers(0, 31, size=30))]
+        before = perplexity(params, cfg, docs, seq_len=8, eos_id=31, fp8=True)
+        adamw_step(params, cfg, docs[0][:9])
+        after = perplexity(params, cfg, docs, seq_len=8, eos_id=31, fp8=True)
+        fresh = perplexity(copy.deepcopy(params), cfg, docs, seq_len=8, eos_id=31, fp8=True)
+        assert after != before
+        assert after.hex() == fresh.hex()
 
     def test_empty_corpus_rejected(self):
         cfg, params = tiny_model(seed=3)
@@ -339,6 +362,14 @@ class TestGenerate:
             cached = generate(weights, cfg, [1, 2, 3], max_new=8, use_cache=True, fp8=fp8)
             full = generate(weights, cfg, [1, 2, 3], max_new=8, use_cache=False, fp8=fp8)
             assert np.array_equal(cached, full)
+        # A session rounds the weights as of its construction: after an
+        # in-place step, the next one reads the stepped weights.
+        adamw_step(params, cfg, [1, 2, 3, 4, 5, 6], lr=0.2)
+        stepped = generate(params, cfg, [1, 2, 3], max_new=8, fp8=True)
+        assert not np.array_equal(stepped, cached)
+        for weights, use_cache in ((params, False), (copy.deepcopy(params), True)):
+            assert np.array_equal(stepped, generate(weights, cfg, [1, 2, 3], max_new=8,
+                                                    use_cache=use_cache, fp8=True))
 
     def test_greedy_is_bitwise_deterministic(self):
         cfg, params = tiny_model(seed=12, vocab_size=32)

@@ -38,6 +38,14 @@ def nearest_code(x: float) -> float:
     return best[1]
 
 
+def frexp_oracle(a: np.ndarray) -> np.ndarray:
+    """E4M3 rounding in a's dtype with the ulp taken from np.frexp."""
+    work = np.clip(a, -E4M3_MAX, E4M3_MAX)
+    _, exps = np.frexp(work)
+    ulp = np.ldexp(a.dtype.type(1.0), np.maximum(exps - 4, -9))
+    return np.round(work / ulp) * ulp
+
+
 class TestCodePoints:
     def test_all_codes_round_trip_exactly(self):
         values = np.array([v for v, _ in enumerate_codes()])
@@ -103,10 +111,7 @@ class TestRounding:
         """Rounding in f32 equals rounding in f64, bit for bit, over a sweep of
         every 97th f32 bit pattern (NaNs, signed zeros, subnormals, infinities)."""
         def oracle(a):
-            work = np.clip(a.astype(np.float64), -E4M3_MAX, E4M3_MAX)
-            _, exps = np.frexp(work)
-            ulp = np.ldexp(1.0, np.maximum(exps - 4, -9))
-            return (np.round(work / ulp) * ulp).astype(np.float32)
+            return frexp_oracle(a.astype(np.float64)).astype(np.float32)
 
         step, chunk = 97, 97 << 20
         specials = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 2.0 ** -149, -2.0 ** -149],
@@ -124,6 +129,20 @@ class TestRounding:
                 assert bad.size == 0, x[bad[:5]]
                 checked += x.size
         assert checked > 44_000_000
+
+    def test_f64_bit_patterns_match_frexp_oracle(self):
+        """In f64 too the exponent-bit ulp rounds as frexp does, bit for bit:
+        random bit patterns, values around the E4M3 range, and specials."""
+        rng = np.random.default_rng(3)
+        x = np.concatenate([
+            rng.integers(0, 1 << 64, 1_000_000, dtype=np.uint64).view(np.float64),
+            rng.standard_normal(1_000_000) * 2.0 ** rng.integers(-20, 12, 1_000_000),
+            [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324]])
+        got = fp8_e4m3(x)
+        with np.errstate(invalid="ignore"):
+            want = frexp_oracle(x)
+        bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+        assert bad.size == 0, x[bad[:5]]
 
     def test_dtype_preserved(self):
         x32 = np.array([0.3], dtype=np.float32)

@@ -25,6 +25,7 @@ from deskllm.model import (
     param_shapes,
     rope_rotate,
 )
+from deskllm.pretrain import batch_loss
 from deskllm.tensor import ShapeError, Tensor, cross_entropy, no_grad
 
 from fdcheck import check_grad
@@ -542,6 +543,35 @@ class TestLinear:
                               alpha=16.0)
         assert adapter.rank == 4
         assert adapter.scale == 4.0
+
+
+class TestNoGradResults:
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_every_result_is_a_bare_array(self, dtype, monkeypatch):
+        cfg, params = tiny_model(seed=3, dtype=dtype, sliding_window=3)
+        made = []
+        make = T._make
+        monkeypatch.setattr(T, "_make", lambda *args: made.append(make(*args)) or made[-1])
+        ids = np.arange(7) % cfg.vocab_size
+        with no_grad():
+            for fp8 in (False, True):
+                cross_entropy(forward(params, ids, cfg, fp8=fp8), ids)
+            # two examples: the loss mean adds and scales 0-d arrays
+            batch_loss(params, cfg, [(ids[:-1], ids[1:]), (ids[1:], ids[:-1])])
+        DecodeSession(params, cfg, 8, fp8=True).step(ids)
+        assert len(made) > 100
+        for out in made:
+            assert type(out.data) is np.ndarray and out.data.dtype == params.dtype
+            assert not out.requires_grad and out._pairs == [] and out.grad is None
+
+    def test_the_same_ops_with_grad_pass_fdcheck(self):
+        cfg, params = tiny_model(seed=3, hidden_size=8, intermediate_size=12, n_layers=1,
+                                 n_heads=2, n_kv_heads=1, vocab_size=8, sliding_window=3)
+        ids = np.arange(7) % cfg.vocab_size
+        errs = check_grad(
+            lambda: batch_loss(params, cfg, [(ids[:-1], ids[1:]), (ids[1:], ids[:-1])]),
+            params.named_tensors())
+        assert max(errs.values()) < 1e-3  # the c02 bound
 
 
 class TestKVCache:
