@@ -59,11 +59,10 @@ def margin(adapters):
     with no_grad():
         for pair in pairs:
             prompt, chosen, rejected = render_pair(pair, vocab)
-            lc = sequence_logprob(params, config, prompt, chosen,
-                                  adapters=adapters).item()
-            lr_ = sequence_logprob(params, config, prompt, rejected,
-                                   adapters=adapters).item()
-            total += lc - lr_
+            # one prefix-shared forward scores both responses
+            lc, lr_ = sequence_logprob(params, config, prompt, (chosen, rejected),
+                                       adapters=adapters)
+            total += lc.item() - lr_.item()
     return total / len(pairs)
 
 

@@ -4,7 +4,9 @@ The policy reads `model.lora_weights`, the base with a low-rank adapter
 on every attention and MLP linear, which is what `lora_merge` stores; the
 reference is the base alone. Both read the base as constants that share
 the caller's arrays and need no grad, so it is frozen by construction and
-never copied. Reference log-probs are computed once per pair and cached.
+never copied. `sequence_logprob` scores a pair's chosen and rejected
+responses in one prefix-shared forward, so each pair costs one reference
+forward, computed once and cached, and one policy forward per epoch.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
-from .chat import Conversation, Turn, render_chat, sft_example
+from .chat import Conversation, Turn, render_chat
 from .data import read_jsonl
 from .errors import PATH, POSITIVE, ConfigError, check, count, number
-from .model import LoraAdapter, ModelConfig, ModelParams, lora_weights
+from .model import LoraAdapter, ModelConfig, ModelParams, branch_layout, forward, lora_weights
 from .optim import AdamW, OptimHyper
-from .pretrain import batch_loss, log_step, optimize
-from .tensor import Tensor, add, log_sigmoid, mul, neg, no_grad
+from .pretrain import log_step, optimize
+from .tensor import Tensor, add, cross_entropy, embedding, log_sigmoid, mul, neg, no_grad
 from .tokenizer import Vocab
 
 LORA_INIT_STD = 0.02
@@ -75,25 +77,27 @@ def dpo_loss(policy_lp_c, policy_lp_r, ref_lp_c, ref_lp_r, beta: float = 0.2) ->
     return mul(reduce(add, terms), 1.0 / len(terms))
 
 
-def sequence_logprob(params: ModelParams, config: ModelConfig, prompt_ids,
-                     response_ids, *, adapters=None) -> Tensor:
-    """Summed log-probability of the response tokens given the prompt."""
-    prompt = np.asarray(prompt_ids, dtype=np.int64)
-    response = np.asarray(response_ids, dtype=np.int64)
-    if prompt.ndim != 1 or prompt.size == 0:
-        raise ValueError("prompt must be a nonempty 1-D id sequence")
-    if response.ndim != 1:
-        raise ValueError("response must be a 1-D id sequence")
-    if response.size == 0:
-        return Tensor(np.zeros((), dtype=params.dtype))
-    total = prompt.size + response.size
+def sequence_logprob(params: ModelParams, config: ModelConfig, prompt_ids, responses, *,
+                     adapters=None) -> list[Tensor]:
+    """Summed log-probability of each response given the prompt.
+
+    One prefix-shared forward scores them all: the prompt runs once and
+    each response is a branch of it (`model.branch_layout`). Each prompt
+    + response must fit max_context; together they may exceed it. An
+    empty response scores 0.
+    """
+    responses = [np.asarray(r, dtype=np.int64) for r in responses]
+    ids, segments, rows = branch_layout(prompt_ids, responses)
+    total = np.size(prompt_ids) + max((r.size for r in responses), default=0)
     if total > config.max_context:
         raise ValueError(f"prompt+response of {total} tokens exceeds context "
                          f"{config.max_context}")
-    example = sft_example(np.concatenate([prompt, response]),
-                          np.repeat([0, 1], [prompt.size, response.size]))
-    mean_nll = batch_loss(params, config, [example], adapters=adapters)
-    return mul(mean_nll, -float(response.size))
+    logits = forward(params, ids, config, adapters=adapters, segments=segments)
+    # T.embedding gathers the scoring rows (the prompt's last row scores
+    # every response's first token) and scatter-adds their grads.
+    return [mul(cross_entropy(embedding(logits, r_rows), response), -float(len(r_rows)))
+            if len(r_rows) else Tensor(np.zeros((), dtype=params.dtype))
+            for response, r_rows in zip(responses, rows)]
 
 
 @dataclass(frozen=True)
@@ -236,16 +240,16 @@ def dpo_train(params: ModelParams, config: ModelConfig, stages: Sequence[DpoStag
             warnings.warn(f"stage {stage_idx} has no pairs", RuntimeWarning)
             continue
         with no_grad():
-            ref_cache = [tuple(float(sequence_logprob(base, config, prompt_ids, resp).item())
-                               for resp in (chosen, rejected))
+            ref_cache = [[float(lp.item()) for lp in
+                          sequence_logprob(base, config, prompt_ids, (chosen, rejected))]
                          for prompt_ids, chosen, rejected in rendered]
 
         def pair_loss(i: int) -> Tensor:
             prompt_ids, chosen, rejected = rendered[i]
-            return dpo_loss(
-                [sequence_logprob(base, config, prompt_ids, chosen, adapters=adapters)],
-                [sequence_logprob(base, config, prompt_ids, rejected, adapters=adapters)],
-                [ref_cache[i][0]], [ref_cache[i][1]], beta=plan.beta)
+            policy_c, policy_r = sequence_logprob(base, config, prompt_ids, (chosen, rejected),
+                                                  adapters=adapters)
+            return dpo_loss([policy_c], [policy_r], [ref_cache[i][0]], [ref_cache[i][1]],
+                            beta=plan.beta)
 
         for epoch in range(stage.epochs):
             rng = np.random.default_rng(plan.seed + 104729 * stage_idx + epoch)

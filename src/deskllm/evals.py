@@ -2,19 +2,19 @@
 prompt assembly, exact match, and deterministic generation.
 
 Perplexity scores through `pretrain.batch_loss`, the cross-entropy that
-training uses. Generation and multiple-choice scoring run through
-`model.forward` with a preallocated KV cache (`model.DecodeSession`), the
-same code as training. Decoding feeds each new token after the cached ones
-and must pick the same tokens as recomputing the full forward pass each
-step, which the tests assert. Multiple choice forwards the rendered
-prompt once; each choice rewinds the cache to the end of the prompt and
-forwards only its own tokens. It stays off `batch_loss` for that reason:
-a full forward per choice would re-run the shared prefix, and its
-log-softmax is taken in f64 rather than in the model dtype. Evaluation
-reads plain weights; score a LoRA policy through `dpo.lora_merge`. With
-fp8, a `perplexity` call and a `DecodeSession` (one per `mc_score` or
-cached `generate` call) round the weights once (`model.fp8_weights`), so
-each call reads the weights as they were when it started.
+training uses. Everything runs through `model.forward`, the same code as
+training. Generation feeds each new token after the cached ones in a
+preallocated KV cache (`model.DecodeSession`) and must pick the same
+tokens as recomputing the full forward pass each step, which the tests
+assert. Multiple choice scores the rendered prompt and all its choices
+in one prefix-shared forward (`model.branch_layout`): the prompt runs
+once and the choices ride along as branches that cannot see each other.
+It stays off `batch_loss`, since one row scores every choice's first
+token and its log-softmax is taken in f64 rather than in the model
+dtype. Evaluation reads plain weights; score a LoRA policy through
+`dpo.lora_merge`. With fp8, a `perplexity`, `mc_score` or cached
+`generate` call rounds the weights once (`model.fp8_weights`), so each
+call reads the weights as they were when it started.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import pack_sequences, read_jsonl, write_jsonl
 from .errors import ConfigError
-from .model import DecodeSession, ModelConfig, ModelParams, forward, fp8_weights
+from .model import DecodeSession, ModelConfig, ModelParams, branch_layout, forward, fp8_weights
 from .pretrain import batch_loss
 from .tensor import IGNORE_INDEX, no_grad
 from .tokenizer import Vocab, decode, encode
@@ -123,9 +123,10 @@ def mc_score(params, config, task: MCTask, vocab: Vocab | None = None, *, k: int
     """Score one task; `logprob_fn(prompt_text, choice_text)` overrides the
     model path (used for fixtures and statistical oracles).
 
-    The model path forwards the prompt once. Each choice rewinds the cache
-    to the end of the prompt and forwards its tokens but the last; its
-    first token is scored by the prompt's last row.
+    The model path makes one no-grad forward: the prompt, then every
+    choice but its last token as a branch of it (`model.branch_layout`).
+    A choice's first token is scored by the prompt's last row. The
+    scoring rows then take a log-softmax in f64, not the model dtype.
     """
     prompt_text = few_shot_render(task, k, seed) + QUERY_SUFFIX
     if logprob_fn is not None:
@@ -133,27 +134,19 @@ def mc_score(params, config, task: MCTask, vocab: Vocab | None = None, *, k: int
     else:
         prompt_ids = encode(prompt_text, vocab)
         choice_ids = [encode(c, vocab) for c in task.choices]
-        rows = len(prompt_ids) + max(max(map(len, choice_ids)) - 1, 0)
-        session = DecodeSession(params, config, rows, fp8=fp8)
-        first = _log_softmax(session.step(prompt_ids)[-1:])
-        lps = []
-        for ids in choice_ids:
-            session.pos = len(prompt_ids)
-            logp = first
-            if len(ids) > 1:
-                logp = np.concatenate([first, _log_softmax(session.step(ids[:-1]))])
-            lps.append(float(logp[np.arange(len(ids)), ids].sum()))
+        ids, segments, rows = branch_layout(prompt_ids, choice_ids)
+        with no_grad():
+            logits = forward(params, ids, config, fp8=fp8, segments=segments).data
+        first = len(prompt_ids) - 1  # rows before the prompt's last score no choice
+        z = logits[first:].astype(np.float64)
+        z -= z.max(axis=-1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        lps = [float(logp[r - first, c].sum()) for r, c in zip(rows, choice_ids)]
     acc_pick, acc_norm_pick = mc_pick(lps, task.choices)
     return {"acc_pick": acc_pick, "acc_norm_pick": acc_norm_pick,
             "acc_correct": acc_pick == task.gold,
             "acc_norm_correct": acc_norm_pick == task.gold,
             "logprobs": lps}
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits.astype(np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------

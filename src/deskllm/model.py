@@ -8,8 +8,12 @@ Only this module knows the parameter layout: `LAYER_KEYS`, `param_shapes`
 and `ModelParams.build`, which makes tensors in `named_tensors` order.
 LoRA and fp8 only reparametrize weights (`lora_weights`, `fp8_weights`);
 blocks read plain ones, and with fp8 round each sublayer's input once.
-`DecodeSession` caches one model's rotated keys and values; q, k and v
-stay [T, heads, head_dim] from their projections to `T.attention`.
+`DecodeSession` caches one model's rotated keys and values, and setting
+its `pos` back rewinds it; q, k and v stay [T, heads, head_dim] from
+their projections to `T.attention`. Scoring several continuations of
+one prompt takes one forward instead: `branch_layout` packs the prompt
+and each continuation as a branch, and `segments` gives every branch
+the positions after the prompt and a mask that hides the other branches.
 """
 
 from __future__ import annotations
@@ -283,14 +287,36 @@ def rope_rotate(x: Tensor, positions, theta: float, *, tables=None) -> Tensor:
     return T.rotary(x, cos.reshape(lift), sin.reshape(lift))
 
 
+def segment_positions(segments, seq_len: int) -> np.ndarray:
+    """Positions of a prefix-shared layout of seq_len tokens (`branch_layout`).
+
+    Segment 0 is the prompt at positions 0..P-1; every branch k > 0
+    restarts at P. Segments must be non-negative and non-decreasing, so
+    the prompt comes first and each branch is one contiguous run.
+    """
+    seg = np.asarray(segments)
+    if seg.shape != (seq_len,) or seg.dtype.kind not in "iu":
+        raise ValueError(f"segments must be {seq_len} integer ids, got {seg.dtype} {seg.shape}")
+    if seg.size and (seg[0] < 0 or np.any(np.diff(seg) < 0)):
+        raise ValueError("segments must be non-negative and non-decreasing")
+    index = np.arange(seg.size)
+    first = np.searchsorted(seg, seg)  # where each token's segment starts
+    return np.where(seg > 0, index - first + np.count_nonzero(seg == 0), index)
+
+
 def attention_mask(seq_len: int, window: int | None = None, dtype="f32", *,
-                   start: int = 0) -> Tensor:
+                   start: int = 0, segments=None) -> Tensor:
     """Additive mask: position i may attend j in [max(0, i-window+1), i].
 
     Window absent means plain causal. Rows are the queries at positions
     start..start+seq_len-1; columns are the keys they can reach, from the
     first query's window start to the last query. Disallowed entries
     carry the dtype's masking constant; allowed entries are zero.
+
+    segments (one id per token, see `segment_positions`) lays out a
+    prompt and its branches: a row sees the earlier prompt keys and the
+    earlier keys of its own branch, within the window by position, and
+    never another branch's keys. All zeros gives the plain mask.
     """
     if seq_len < 1:
         raise ValueError(f"seq_len must be >= 1, got {seq_len}")
@@ -300,10 +326,48 @@ def attention_mask(seq_len: int, window: int | None = None, dtype="f32", *,
     i = np.arange(start, start + seq_len)[:, None]
     j = np.arange(0 if window is None else max(0, start - window + 1), start + seq_len)[None, :]
     allowed = j <= i
+    if segments is not None:
+        if start != 0:
+            raise ValueError("segments lay out a whole sequence; start must be 0")
+        pos = segment_positions(segments, seq_len)
+        seg = np.asarray(segments)
+        allowed &= (seg[None, :] == 0) | (seg[None, :] == seg[:, None])
+        i, j = pos[:, None], pos[None, :]
     if window is not None:
         allowed &= j >= i - window + 1
     data = np.where(allowed, 0.0, MASK_NEG[np_dtype]).astype(np_dtype)
     return Tensor(data)
+
+
+def branch_layout(prompt_ids, continuations) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Pack a prompt and its continuations for one prefix-shared forward.
+
+    The layout is the prompt (segment 0), then each continuation but its
+    last token as its own branch (segment 1, 2, ...). Branches go in
+    sorted order of their ids, so the logits do not depend on the order
+    of `continuations`. Returns the ids, the segments and, for each
+    continuation in the given order, the logit rows that score its
+    tokens: the prompt's last row, then the rows of its own branch. An
+    empty continuation has no rows.
+    """
+    prompt = np.asarray(prompt_ids, dtype=np.int64)
+    if prompt.ndim != 1 or prompt.size == 0:
+        raise ValueError("prompt must be a nonempty 1-D id sequence")
+    conts = [np.asarray(c, dtype=np.int64) for c in continuations]
+    if any(c.ndim != 1 for c in conts):
+        raise ValueError("each continuation must be a 1-D id sequence")
+    parts, segs = [prompt], [np.zeros(prompt.size, np.int64)]
+    rows = [np.zeros(0, np.int64)] * len(conts)
+    end = prompt.size
+    for seg, k in enumerate(sorted(range(len(conts)), key=lambda k: conts[k].tolist()), 1):
+        if conts[k].size == 0:
+            continue
+        body = conts[k][:-1]
+        rows[k] = np.concatenate([[prompt.size - 1], np.arange(end, end + body.size)])
+        parts.append(body)
+        segs.append(np.full(body.size, seg, np.int64))
+        end += body.size
+    return np.concatenate(parts), np.concatenate(segs), rows
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +478,7 @@ class DecodeSession:
 
 
 def forward(params: ModelParams, tokens, config: ModelConfig, *, fp8: bool = False,
-            adapters=None, cache: DecodeSession | None = None) -> Tensor:
+            adapters=None, cache: DecodeSession | None = None, segments=None) -> Tensor:
     """Logits [T, vocab] for one token sequence.
 
     fp8 rounds attention/MLP linear operands to E4M3 at forward time;
@@ -427,28 +491,37 @@ def forward(params: ModelParams, tokens, config: ModelConfig, *, fp8: bool = Fal
     With a cache (a DecodeSession, only under no_grad), the tokens
     continue the cached ones: they sit at positions cache.pos.., attend
     to the cached keys and values within the window, and are appended to
-    the cache. Training, decoding and scoring all run this one path.
-    `T.embedding` rejects ids outside [0, vocab_size).
+    the cache. With segments (see `branch_layout`), the tokens are a
+    prompt and its branches: each branch restarts at the prompt's end
+    and attends to the prompt and to itself only. max_context bounds the
+    positions, not the number of tokens. Training, decoding and scoring
+    all run this one path. `T.embedding` rejects ids outside
+    [0, vocab_size).
     """
     ids = np.asarray(tokens, dtype=np.int64)
     if ids.ndim != 1 or ids.size == 0:
         raise ValueError(f"tokens must be a non-empty 1-D sequence, got shape {ids.shape}")
     t_len = int(ids.shape[0])
-    if t_len > config.max_context:
-        raise ValueError(f"sequence length {t_len} exceeds max_context {config.max_context}")
-    if adapters:
-        params = lora_weights(params, adapters)
-    if fp8:
-        params = fp8_weights(params)
     start = 0
     if cache is not None:
+        if segments is not None:
+            raise ValueError("a forward takes segments or a cache, not both")
         if T.grad_enabled():
             raise ValueError("a cached forward runs under no_grad()")
         start = cache.pos
         if start + t_len > cache.capacity:
             raise ValueError(f"{start + t_len} positions exceed cache capacity {cache.capacity}")
-    positions = np.arange(start, start + t_len)
-    mask = attention_mask(t_len, config.sliding_window, dtype=params.dtype, start=start)
+    positions = (np.arange(start, start + t_len) if segments is None
+                 else segment_positions(segments, t_len))
+    if positions.max() >= config.max_context:
+        raise ValueError(f"{positions.max() + 1} positions exceed max_context "
+                         f"{config.max_context}")
+    if adapters:
+        params = lora_weights(params, adapters)
+    if fp8:
+        params = fp8_weights(params)
+    mask = attention_mask(t_len, config.sliding_window, dtype=params.dtype, start=start,
+                          segments=segments)
     rope = rope_tables(positions, config.head_dim, config.rope_theta, params.dtype)
 
     x = T.embedding(params.token_embedding, ids)

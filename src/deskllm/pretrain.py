@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import DataStage, Document, pack_sequences, sample_mix, stage_index
 from .errors import ConfigError, check, count
-from .model import ModelConfig, ModelParams, forward
+from .model import ModelConfig, ModelParams, forward, fp8_weights
 from .optim import AdamW, LrSchedule, OptimHyper, clip_grad_norm, cosine_lr
 from .tensor import Tensor, add, cross_entropy, mul, no_grad
 from .tokenizer import Vocab, encode
@@ -115,11 +115,13 @@ def batch_loss(params: ModelParams, config: ModelConfig, examples, *,
                fp8: bool = False, adapters=None) -> Tensor:
     """Mean next-token cross-entropy over (inputs, targets) examples.
 
-    The package's one forward-then-cross-entropy: pretrain, SFT, DPO and
-    perplexity all score through it. Examples may differ in length, and
-    targets hold IGNORE_INDEX on unscored rows. The result is the mean of
-    per-example means; packed windows all score seq_len - 1 rows, so for
-    them it is the per-position mean.
+    The package's one forward-then-cross-entropy: pretrain, SFT and
+    perplexity all score through it. (DPO and multiple choice score
+    several continuations of one prompt in one prefix-shared forward.)
+    Examples may differ in length, and targets hold IGNORE_INDEX on
+    unscored rows. The result is the mean of per-example means; packed
+    windows all score seq_len - 1 rows, so for them it is the
+    per-position mean.
     """
     losses = [cross_entropy(forward(params, inputs, config, fp8=fp8, adapters=adapters),
                             targets)
@@ -211,7 +213,9 @@ class Trainer:
         if not self._val_set:
             return None
         with no_grad():
-            loss = batch_loss(self.params, self.config, self._val_set, fp8=self.plan.fp8)
+            # fp8 rounds the weights once for every window
+            params = fp8_weights(self.params) if self.plan.fp8 else self.params
+            loss = batch_loss(params, self.config, self._val_set, fp8=self.plan.fp8)
         return float(loss.item())
 
     def train_step(self, batch, seq_len: int) -> dict:

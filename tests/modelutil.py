@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
+from deskllm import model
 from deskllm.model import ModelConfig, ModelParams, init_params
 
 
@@ -71,3 +74,19 @@ def reference_forward(params: ModelParams, ids, cfg: ModelConfig) -> np.ndarray:
         act = gate / (1.0 + np.exp(-gate)) * (h @ w[f"{p}.mlp.w_up"])
         x = x + act @ w[f"{p}.mlp.w_down"]
     return norm(x, w["final_norm"]) @ w["lm_head"]
+
+
+def count_forwards(monkeypatch) -> list[int]:
+    """Record the token count of every `model.forward` call, wherever a
+    deskllm module imported it, for the rest of the test."""
+    calls: list[int] = []
+    real = model.forward
+
+    def counted(params, tokens, *args, **kwargs):
+        calls.append(int(np.size(tokens)))
+        return real(params, tokens, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("deskllm") and getattr(module, "forward", None) is real:
+            monkeypatch.setattr(module, "forward", counted)
+    return calls

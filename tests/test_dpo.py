@@ -3,12 +3,13 @@
 import json
 import math
 import re
+from functools import reduce
 
 import mpmath
 import numpy as np
 import pytest
 
-from deskllm.chat import Conversation, Turn, chat_vocab, render_chat
+from deskllm.chat import Conversation, Turn, chat_vocab, render_chat, sft_example
 from deskllm.data import read_jsonl, write_jsonl
 from deskllm.dpo import (DpoPlan, DpoStage, PreferencePair, build_preference_pairs,
                          dpo_loss, dpo_train, init_lora_adapters, load_preference_pairs,
@@ -16,11 +17,11 @@ from deskllm.dpo import (DpoPlan, DpoStage, PreferencePair, build_preference_pai
 from deskllm import dpo as dpo_module
 from deskllm.errors import ConfigError
 from deskllm.model import forward, linear, lora_weights
-from deskllm.pretrain import TrainingDiverged
-from deskllm.tensor import Tensor, no_grad
+from deskllm.pretrain import TrainingDiverged, batch_loss
+from deskllm.tensor import Tensor, add, mul, no_grad
 from deskllm.tokenizer import byte_fallback_vocab, encode
 
-from modelutil import tiny_model
+from modelutil import count_forwards, tiny_model
 from test_pretrain import StepGrads, capture_step_grads
 
 CHAT_VOCAB = chat_vocab()
@@ -102,19 +103,19 @@ class TestSequenceLogprob:
         for t in params.named_tensors().values():
             t.data[...] = 0.0
         params.final_norm.data[...] = 1.0
-        lp = sequence_logprob(params, cfg, [1, 2], [3, 4, 5])
+        (lp,) = sequence_logprob(params, cfg, [1, 2], [[3, 4, 5]])
         assert float(lp.item()) == pytest.approx(-3 * math.log(32), rel=1e-12)
 
     def test_empty_response_is_zero(self):
         cfg, params = tiny_model(seed=1)
-        lp = sequence_logprob(params, cfg, [1, 2, 3], [])
+        (lp,) = sequence_logprob(params, cfg, [1, 2, 3], [[]])
         assert float(lp.item()) == 0.0
 
     def test_three_token_straight_line_recompute(self):
         cfg, params = tiny_model(seed=2, vocab_size=16)
         prompt_ids = np.array([1, 2, 3, 4])
         response_ids = np.array([5, 6, 7])
-        lp = sequence_logprob(params, cfg, prompt_ids, response_ids)
+        (lp,) = sequence_logprob(params, cfg, prompt_ids, [response_ids])
         with no_grad():
             logits = forward(params, np.concatenate([prompt_ids, response_ids])[:-1],
                              cfg).data.astype(np.float64)
@@ -129,31 +130,94 @@ class TestSequenceLogprob:
         cfg, params = tiny_model(seed=3, vocab_size=16)
         p = np.array([1, 2])
         r = np.array([3, 4, 5, 6])
-        whole = float(sequence_logprob(params, cfg, p, r).item())
-        first = float(sequence_logprob(params, cfg, p, r[:2]).item())
+        whole = float(sequence_logprob(params, cfg, p, [r])[0].item())
+        first = float(sequence_logprob(params, cfg, p, [r[:2]])[0].item())
         second = float(sequence_logprob(params, cfg, np.concatenate([p, r[:2]]),
-                                        r[2:]).item())
+                                        [r[2:]])[0].item())
         assert whole == pytest.approx(first + second, rel=1e-10)
 
     def test_overlength_rejected(self):
         cfg, params = tiny_model(seed=4, max_context=8)
         with pytest.raises(ValueError):
-            sequence_logprob(params, cfg, np.arange(6) % 16, np.arange(6) % 16)
+            sequence_logprob(params, cfg, np.arange(6) % 16, [np.arange(6) % 16])
 
     def test_empty_prompt_rejected(self):
         cfg, params = tiny_model(seed=4)
         with pytest.raises(ValueError):
-            sequence_logprob(params, cfg, [], [1, 2])
+            sequence_logprob(params, cfg, [], [[1, 2]])
 
     def test_adapters_change_logprob(self):
         cfg, params = tiny_model(seed=5, vocab_size=16)
         adapters = init_lora_adapters(params, seed=0)
         for a in adapters.values():
             a.b.data[...] = 0.05
-        base = float(sequence_logprob(params, cfg, [1, 2], [3, 4]).item())
-        adapted = float(sequence_logprob(params, cfg, [1, 2], [3, 4],
-                                         adapters=adapters).item())
+        base = float(sequence_logprob(params, cfg, [1, 2], [[3, 4]])[0].item())
+        adapted = float(sequence_logprob(params, cfg, [1, 2], [[3, 4]],
+                                         adapters=adapters)[0].item())
         assert base != adapted
+
+
+def separate_logprob(params, cfg, prompt_ids, response, adapters=None) -> Tensor:
+    """Oracle: one full forward of prompt + response through batch_loss."""
+    if len(response) == 0:
+        return Tensor(np.zeros(()))
+    example = sft_example(np.concatenate([prompt_ids, response]),
+                          np.repeat([0, 1], [len(prompt_ids), len(response)]))
+    return mul(batch_loss(params, cfg, [example], adapters=adapters), -float(len(response)))
+
+
+class TestPrefixSharedScorer:
+    """One prefix-shared forward equals a full forward per response (f64)."""
+
+    CASES = {
+        "window_shorter_than_prompt": (3, 7, (5, 3)),
+        "branches_of_different_lengths": (None, 4, (1, 5, 3)),
+        "one_response": (None, 3, (4,)),
+        "empty_response": (None, 3, (3, 0)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_logprobs_and_adapter_grads_match_separate_forwards(self, case):
+        window, n_prompt, lengths = self.CASES[case]
+        cfg, params = tiny_model(seed=31, vocab_size=16, sliding_window=window)
+        rng = np.random.default_rng(5)
+        prompt_ids = rng.integers(0, 16, n_prompt)
+        responses = [rng.integers(0, 16, n) for n in lengths]
+        adapters = init_lora_adapters(params, seed=1)
+        for ad in adapters.values():
+            ad.b.data[...] = rng.normal(0.0, 0.05, ad.b.shape)
+        leaves = [getattr(ad, part) for ad in adapters.values() for part in "ab"]
+
+        def run(score):
+            # distinct weights per response so a swapped grad would show
+            lps = score()
+            reduce(add, [mul(lp, float(k + 1)) for k, lp in enumerate(lps)]).backward()
+            grads = [np.zeros(t.shape) if t.grad is None else t.grad.copy() for t in leaves]
+            for t in leaves:
+                t.zero_grad()
+            return [float(lp.item()) for lp in lps], grads
+
+        got, got_grads = run(lambda: sequence_logprob(params, cfg, prompt_ids, responses,
+                                                      adapters=adapters))
+        want, want_grads = run(lambda: [separate_logprob(params, cfg, prompt_ids, r, adapters)
+                                        for r in responses])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        assert any(np.any(g != 0) for g in want_grads)
+        for g, w in zip(got_grads, want_grads):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-10)
+
+    def test_context_bounds_each_response_not_the_pair(self):
+        cfg, params = tiny_model(seed=32, vocab_size=16, max_context=8)
+        prompt_ids, chosen, rejected = [1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11]
+        # packed: 4 + 3 + 2 = 9 tokens, but each prompt + response fits in 8
+        with no_grad():
+            got = [float(lp.item()) for lp in
+                   sequence_logprob(params, cfg, prompt_ids, [chosen, rejected])]
+            want = [float(separate_logprob(params, cfg, prompt_ids, r).item())
+                    for r in (chosen, rejected)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        with pytest.raises(ValueError):
+            sequence_logprob(params, cfg, prompt_ids, [chosen, [1, 2, 3, 4, 5]])
 
 
 class TestLoraAdapters:
@@ -363,12 +427,12 @@ class TestDpoTrain:
         for pair in pairs:
             p_ids, chosen, rejected = render_pair(pair, CHAT_VOCAB)
             with no_grad():
-                plc = float(sequence_logprob(params, cfg, p_ids, chosen,
-                                             adapters=adapters).item())
-                plr = float(sequence_logprob(params, cfg, p_ids, rejected,
-                                             adapters=adapters).item())
-                rlc = float(sequence_logprob(params, cfg, p_ids, chosen).item())
-                rlr = float(sequence_logprob(params, cfg, p_ids, rejected).item())
+                plc = float(sequence_logprob(params, cfg, p_ids, [chosen],
+                                             adapters=adapters)[0].item())
+                plr = float(sequence_logprob(params, cfg, p_ids, [rejected],
+                                             adapters=adapters)[0].item())
+                rlc = float(sequence_logprob(params, cfg, p_ids, [chosen])[0].item())
+                rlr = float(sequence_logprob(params, cfg, p_ids, [rejected])[0].item())
             assert (plc - rlc) - (plr - rlr) > 0
 
     def test_fresh_adapters_reproduce_reference(self):
@@ -377,9 +441,9 @@ class TestDpoTrain:
         pair = toy_pairs()[0]
         p_ids, chosen, _ = render_pair(pair, CHAT_VOCAB)
         with no_grad():
-            ref = float(sequence_logprob(params, cfg, p_ids, chosen).item())
-            pol = float(sequence_logprob(params, cfg, p_ids, chosen,
-                                         adapters=adapters).item())
+            ref = float(sequence_logprob(params, cfg, p_ids, [chosen])[0].item())
+            pol = float(sequence_logprob(params, cfg, p_ids, [chosen],
+                                         adapters=adapters)[0].item())
         assert pol == ref
 
     def test_base_weights_frozen(self):
@@ -489,9 +553,9 @@ class TestDpoTrain:
         order = np.random.default_rng(plan.seed).permutation(len(pairs))  # epoch 0's
         rendered = [render_pair(pairs[i], CHAT_VOCAB) for i in order]
         with no_grad():
-            ref = [[float(sequence_logprob(params, cfg, p, resp).item()) for resp in (c, r)]
-                   for p, c, r in rendered]
-        policy = [[sequence_logprob(params, cfg, p, resp, adapters=adapters)
+            ref = [[float(sequence_logprob(params, cfg, p, [resp])[0].item())
+                    for resp in (c, r)] for p, c, r in rendered]
+        policy = [[sequence_logprob(params, cfg, p, [resp], adapters=adapters)[0]
                    for resp in (c, r)] for p, c, r in rendered]
         dpo_loss(*zip(*policy), *zip(*ref), beta=plan.beta).backward()
         whole = [getattr(ad, part).grad for ad in adapters.values() for part in "ab"]
@@ -500,6 +564,17 @@ class TestDpoTrain:
             scale = np.max(np.abs(want))
             assert scale > 0
             assert np.max(np.abs(got - want)) <= rel * scale
+
+    @pytest.mark.parametrize("epochs", [1, 2])
+    def test_one_forward_per_pair_and_pass(self, monkeypatch, epochs):
+        # The reference pass scores each pair once per stage, the policy
+        # once per epoch; each scores chosen and rejected in one forward.
+        cfg, params = self.make_model(seed=26)
+        pairs = toy_pairs()
+        calls = count_forwards(monkeypatch)
+        dpo_train(params, cfg, [DpoStage(pairs, lr=1e-3, epochs=epochs)], CHAT_VOCAB,
+                  DpoPlan(seed=5))
+        assert len(calls) == len(pairs) * (1 + epochs)
 
     def test_rerun_is_deterministic(self):
         stages_lr = 1e-3

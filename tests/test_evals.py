@@ -22,7 +22,7 @@ from deskllm.pretrain import batch_loss
 from deskllm.tensor import no_grad
 from deskllm.tokenizer import byte_fallback_vocab, encode
 
-from modelutil import tiny_config, tiny_model
+from modelutil import count_forwards, tiny_config, tiny_model
 
 
 def memorizer_model():
@@ -188,7 +188,7 @@ def full_forward_logprobs(params, cfg, prompt_ids, choices, vocab, **kwargs):
 
 
 class TestPrefixSharedMC:
-    """mc_score forwards the prompt once and rewinds the cache per choice."""
+    """mc_score forwards the prompt once, with every choice as a branch of it."""
 
     TASK = MCTask("Which?", ("x", "yes", "maybe so"), gold=1,
                   exemplars=(("First q", "ans one"), ("Second q", "two")))
@@ -221,6 +221,15 @@ class TestPrefixSharedMC:
         got = mc_score(params, cfg, task, vocab)["logprobs"]
         want = full_forward_logprobs(params, cfg, prompt_ids, task.choices, vocab)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    def test_one_forward_per_task(self, monkeypatch):
+        cfg, params = tiny_model(seed=22, vocab_size=259, sliding_window=8)
+        vocab = byte_fallback_vocab()
+        tasks = [self.TASK, MCTask("Other?", ("a", "bb", "ccc", "d"), gold=3,
+                                   exemplars=self.TASK.exemplars)]
+        calls = count_forwards(monkeypatch)
+        evaluate_tasks(params, cfg, tasks, vocab, k=2)
+        assert len(calls) == len(tasks)
 
     def test_choice_order_is_bitwise_irrelevant(self):
         cfg, params = tiny_model(seed=20, vocab_size=259, sliding_window=8)

@@ -14,6 +14,7 @@ from deskllm.model import (
     LoraAdapter,
     ModelConfig,
     attention_mask,
+    branch_layout,
     config_1p8b,
     config_1p8b_v2,
     count_params,
@@ -24,6 +25,7 @@ from deskllm.model import (
     lora_weights,
     param_shapes,
     rope_rotate,
+    segment_positions,
 )
 from deskllm.pretrain import batch_loss
 from deskllm.tensor import ShapeError, Tensor, cross_entropy, no_grad
@@ -210,6 +212,63 @@ class TestAttentionMask:
             attention_mask(0, None)
         with pytest.raises(ConfigError):
             attention_mask(4, 0)
+
+    @pytest.mark.parametrize("window", [None, 1, 3, 6, 9])
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_all_zero_segments_are_the_plain_mask(self, window, dtype):
+        plain = attention_mask(7, window, dtype=dtype).data
+        zeros = attention_mask(7, window, dtype=dtype, segments=np.zeros(7, np.int64)).data
+        assert zeros.dtype == plain.dtype and zeros.shape == plain.shape
+        assert zeros.tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("window", [None, 2, 4])
+    def test_branch_rows_see_prompt_and_own_branch(self, window):
+        seg = np.array([0, 0, 0, 1, 1, 2, 3, 3, 3])
+        pos = np.array([0, 1, 2, 3, 4, 3, 3, 4, 5])
+        assert segment_positions(seg, 9).tolist() == pos.tolist()
+        m = attention_mask(9, window, dtype="f64", segments=seg).data
+        assert m.shape == (9, 9)
+        for i in range(9):
+            got = {j for j in range(9) if m[i, j] == 0.0}
+            assert all(seg[j] in (0, seg[i]) for j in got)  # never another branch
+            want = {j for j in range(i + 1) if seg[j] in (0, seg[i])
+                    and (window is None or pos[i] - pos[j] < window)}
+            assert got == want
+        if window == 2:
+            assert {j for j in range(9) if m[5, j] == 0.0} == {2, 5}
+            assert {j for j in range(9) if m[8, j] == 0.0} == {7, 8}
+
+    def test_invalid_segments(self):
+        with pytest.raises(ValueError):
+            attention_mask(3, None, segments=[0, 1, 0])  # a branch must be contiguous
+        with pytest.raises(ValueError):
+            attention_mask(3, None, segments=[0, 1])
+        with pytest.raises(ValueError):
+            attention_mask(2, None, segments=[0.0, 1.0])
+        with pytest.raises(ValueError):
+            attention_mask(2, None, start=3, segments=[0, 1])
+
+
+class TestBranchLayout:
+    def test_rows_and_segments(self):
+        ids, seg, rows = branch_layout([7, 8, 9], [[5, 1], [2], [], [3, 4, 6]])
+        # sorted branches: [] and [2] add no tokens, then [3, 4] and [5]
+        assert ids.tolist() == [7, 8, 9, 3, 4, 5]
+        assert seg.tolist() == [0, 0, 0, 3, 3, 4]
+        assert [r.tolist() for r in rows] == [[2, 5], [2], [], [2, 3, 4]]
+
+    def test_order_of_continuations_is_irrelevant(self):
+        conts = [[5, 1], [2], [3, 4, 6], [3, 4]]
+        ids, seg, rows = branch_layout([7, 8], conts)
+        ids2, seg2, rows2 = branch_layout([7, 8], conts[::-1])
+        assert ids.tolist() == ids2.tolist() and seg.tolist() == seg2.tolist()
+        assert [r.tolist() for r in rows] == [r.tolist() for r in rows2[::-1]]
+
+    def test_invalid_inputs(self):
+        with pytest.raises(ValueError):
+            branch_layout([], [[1]])
+        with pytest.raises(ValueError):
+            branch_layout([1], [[[1]]])
 
 
 def reference_gqa(q, k, v, wo, cfg, window):
@@ -427,6 +486,26 @@ class TestForward:
             forward(params, list(range(9)) if cfg.vocab_size > 9 else [0] * 9, cfg)
         with pytest.raises(ValueError):
             forward(params, [], cfg)
+
+    @pytest.mark.parametrize("window", [None, 2])
+    def test_segments_score_each_branch_as_its_own_sequence(self, window):
+        # The packed 11 tokens exceed max_context; every position fits.
+        cfg, params = tiny_model(seed=11, max_context=8, sliding_window=window)
+        prompt, branches = [3, 1, 4, 1, 5], ([9, 2, 6], [5, 3, 5])
+        ids, seg, rows = branch_layout(prompt, [b + [0] for b in branches])
+        with no_grad():
+            packed = forward(params, ids, cfg, segments=seg).data
+            for branch, scoring in zip(branches, rows):
+                alone = forward(params, prompt + branch, cfg).data
+                np.testing.assert_allclose(packed[scoring], alone[4:], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(packed[:5], alone[:5], rtol=0, atol=1e-12)
+            with pytest.raises(ValueError):  # position 8 is past max_context
+                forward(params, prompt + [9, 2, 6, 5], cfg, segments=[0] * 5 + [1] * 4)
+
+    def test_segments_with_cache_rejected(self):
+        cfg, params = tiny_model(seed=12)
+        with no_grad(), pytest.raises(ValueError):
+            forward(params, [1, 2], cfg, cache=DecodeSession(params, cfg, 4), segments=[0, 0])
 
     @pytest.mark.parametrize("bad", [32, -1])
     def test_token_id_out_of_range(self, bad):

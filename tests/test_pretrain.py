@@ -10,6 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
+from deskllm import fp8 as fp8_module
 from deskllm import pretrain as pretrain_module
 from deskllm.data import DataStage, Document
 from deskllm.errors import ConfigError
@@ -267,6 +268,23 @@ class TestRunLoop:
                 assert "val_loss" in r and np.isfinite(r["val_loss"])
             else:
                 assert "val_loss" not in r
+
+    def test_fp8_validation_rounds_each_weight_once(self, monkeypatch):
+        trainer, _, params = make_trainer(val=True, fp8=True, batch_sequences=4, val_batches=1)
+        trainer._enter_stage(0, trainer.plan.stages[0])
+        assert len(trainer._val_set) == 4
+        weights = [t.data for name, t in params.named_tensors().items()
+                   if name.startswith("layers.") and "norm" not in name]
+        rounded = []
+        real = fp8_module.fp8_e4m3
+
+        def counted(x):
+            rounded.extend(w for w in weights if x is w)
+            return real(x)
+
+        monkeypatch.setattr(fp8_module, "fp8_e4m3", counted)
+        assert np.isfinite(trainer._val_loss())
+        assert len(rounded) == len(weights) == 14
 
     def test_rerun_is_bitwise_identical(self):
         runs = []
