@@ -35,10 +35,11 @@ from .data import load_corpus
 from .dpo import DpoPlan, DpoStage, dpo_train, load_preference_pairs, lora_merge
 from .evals import (evaluate_em_tasks, evaluate_tasks, generate_text,
                     load_tasks, perplexity, save_results)
-from .model import init_params
+from .model import fp8_weights, init_params
 from .pretrain import Trainer
 from .runconfig import (EvalPlan, RunConfig, RunConfigError, group_by_source,
                         load_run_config)
+from .tensor import no_grad
 from .tokenizer import encode, load_vocab
 
 CHECKPOINT_ORDER = {
@@ -103,6 +104,12 @@ def _pick_checkpoint(cfg: RunConfig, command: str) -> Path:
         f"{command}: no checkpoint found under {_checkpoint_dir(cfg)} "
         f"(looked for {names}); run the earlier stages or set "
         f"{command}.{key}")
+
+
+def _inference_model(cfg: RunConfig, command: str):
+    config, params, _ = load_model(_pick_checkpoint(cfg, command))
+    with no_grad():  # with fp8, one rounding serves the whole command
+        return config, fp8_weights(params) if cfg.fp8 else params
 
 
 def _require(command: str, condition: bool, message: str) -> None:
@@ -216,23 +223,21 @@ def cmd_eval(cfg: RunConfig) -> int:
     _require("eval", tasks_path is not None or val_path is not None,
              "needs data.tasks and/or data.val_corpus")
     vocab = cfg.load_vocab()
-    config, params, _ = load_model(_pick_checkpoint(cfg, "eval"))
+    config, params = _inference_model(cfg, "eval")
 
     records: list[dict] = []
     aggregates: dict = {}
     if tasks_path is not None:
         mc_tasks, em_tasks = load_tasks(tasks_path)
         if mc_tasks:
-            mc_records, mc_agg = evaluate_tasks(
-                params, config, mc_tasks, vocab,
-                k=plan.k_shot, seed=cfg.seed, fp8=cfg.fp8)
+            mc_records, mc_agg = evaluate_tasks(params, config, mc_tasks, vocab,
+                                                k=plan.k_shot, seed=cfg.seed)
             records.extend(mc_records)
             aggregates.update(acc=mc_agg["acc"], acc_norm=mc_agg["acc_norm"],
                               n_mc=mc_agg["n_tasks"])
         if em_tasks:
-            em_records, em_agg = evaluate_em_tasks(
-                params, config, em_tasks, vocab,
-                max_new=plan.max_new, fp8=cfg.fp8)
+            em_records, em_agg = evaluate_em_tasks(params, config, em_tasks, vocab,
+                                                   max_new=plan.max_new)
             records.extend(em_records)
             aggregates.update(em=em_agg["em"], n_em=em_agg["n_tasks"])
     if val_path is not None:
@@ -240,8 +245,7 @@ def cmd_eval(cfg: RunConfig) -> int:
                    else plan.seq_len)
         token_docs = [encode(doc.text, vocab)
                       for doc in load_corpus(val_path)]
-        aggregates["ppl"] = perplexity(params, config, token_docs, seq_len,
-                                       vocab.eos_id, fp8=cfg.fp8)
+        aggregates["ppl"] = perplexity(params, config, token_docs, seq_len, vocab.eos_id)
 
     out = cfg.run_dir / "results" / "eval.jsonl"
     save_results(records, aggregates, out)
@@ -254,12 +258,10 @@ def cmd_generate(cfg: RunConfig) -> int:
     _require("generate", plan is not None and plan.prompt is not None,
              "generate.prompt is required")
     vocab = cfg.load_vocab()
-    config, params, _ = load_model(_pick_checkpoint(cfg, "generate"))
-    text = generate_text(
-        params, config, plan.prompt, vocab, max_new=plan.max_new,
-        temperature=plan.temperature,
-        repetition_penalty=plan.repetition_penalty, seed=cfg.seed,
-        fp8=cfg.fp8)
+    config, params = _inference_model(cfg, "generate")
+    text = generate_text(params, config, plan.prompt, vocab, max_new=plan.max_new,
+                         temperature=plan.temperature,
+                         repetition_penalty=plan.repetition_penalty, seed=cfg.seed)
     out = cfg.run_dir / "results" / "generation.txt"
     out.write_text(text, encoding="utf-8")
     print(text)

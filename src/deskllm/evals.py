@@ -11,10 +11,11 @@ in one prefix-shared forward (`model.branch_layout`): the prompt runs
 once and the choices ride along as branches that cannot see each other.
 It stays off `batch_loss`, since one row scores every choice's first
 token and its log-softmax is taken in f64 rather than in the model
-dtype. Evaluation reads plain weights; score a LoRA policy through
-`dpo.lora_merge`. With fp8, a `perplexity`, `mc_score` or cached
-`generate` call rounds the weights once (`model.fp8_weights`), so each
-call reads the weights as they were when it started.
+dtype. Evaluation takes no adapters; score a LoRA policy through
+`dpo.lora_merge`. The weights carry the fp8 request: given
+`model.fp8_weights(params)`, rounded once by the caller, every call here
+runs in fp8 and rounds no weight again. `perplexity(fp8=True)` rounds
+them itself, once per call.
 """
 
 from __future__ import annotations
@@ -48,17 +49,16 @@ def perplexity(params: ModelParams, config: ModelConfig, token_docs, seq_len: in
 
     Each window is scored by its own batch_loss call, so the mean over
     windows is taken in Python floats rather than in the model dtype.
-    With fp8 the weights are rounded once per call, for every window.
+    fp8=True is the same as passing `fp8_weights(params)`: one rounding per call.
     """
     if seq_len > config.max_context:
         raise ValueError(f"seq_len {seq_len} exceeds context {config.max_context}")
     total_nll, scored = 0.0, 0
     with no_grad():
-        if fp8:
-            params = fp8_weights(params)
+        params = fp8_weights(params) if fp8 else params
         for inputs, targets in pack_sequences(token_docs, seq_len, eos_id):
             n = int(np.sum(targets != IGNORE_INDEX))
-            loss = batch_loss(params, config, [(inputs, targets)], fp8=fp8)
+            loss = batch_loss(params, config, [(inputs, targets)])
             total_nll += float(loss.item()) * n
             scored += n
     if scored == 0:
@@ -118,8 +118,7 @@ def mc_pick(logprobs: Sequence[float], choices: Sequence[str]) -> tuple[int, int
 
 
 def mc_score(params, config, task: MCTask, vocab: Vocab | None = None, *, k: int = 0,
-             seed: int = 0, logprob_fn: Callable[[str, str], float] | None = None,
-             fp8: bool = False) -> dict:
+             seed: int = 0, logprob_fn: Callable[[str, str], float] | None = None) -> dict:
     """Score one task; `logprob_fn(prompt_text, choice_text)` overrides the
     model path (used for fixtures and statistical oracles).
 
@@ -136,7 +135,7 @@ def mc_score(params, config, task: MCTask, vocab: Vocab | None = None, *, k: int
         choice_ids = [encode(c, vocab) for c in task.choices]
         ids, segments, rows = branch_layout(prompt_ids, choice_ids)
         with no_grad():
-            logits = forward(params, ids, config, fp8=fp8, segments=segments).data
+            logits = forward(params, ids, config, segments=segments).data
         first = len(prompt_ids) - 1  # rows before the prompt's last score no choice
         z = logits[first:].astype(np.float64)
         z -= z.max(axis=-1, keepdims=True)
@@ -195,8 +194,7 @@ def _pick_token(row: np.ndarray, seen_ids, temperature: float, penalty: float,
 
 def generate(params: ModelParams, config: ModelConfig, prompt_ids, *, max_new: int,
              temperature: float = 0.0, repetition_penalty: float = 1.1, seed: int = 0,
-             eos_id: int | None = None, fp8: bool = False,
-             use_cache: bool = True) -> np.ndarray:
+             eos_id: int | None = None, use_cache: bool = True) -> np.ndarray:
     """Decode up to max_new tokens; stops at eos or the context limit.
 
     Returns the generated ids only (including the terminating eos when
@@ -217,14 +215,14 @@ def generate(params: ModelParams, config: ModelConfig, prompt_ids, *, max_new: i
     rng = np.random.default_rng(seed)
     ids = prompt.tolist()
     generated: list[int] = []
-    session = (DecodeSession(params, config, min(prompt.size + max_new, config.max_context),
-                             fp8=fp8) if use_cache else None)
+    session = (DecodeSession(params, config, min(prompt.size + max_new, config.max_context))
+               if use_cache else None)
     while len(generated) < max_new and len(ids) < config.max_context:
         if session is not None:
             row = session.step(ids[session.pos:])[-1]
         else:
             with no_grad():
-                row = forward(params, ids, config, fp8=fp8).data[-1]
+                row = forward(params, ids, config).data[-1]
         nxt = _pick_token(row, ids, temperature, repetition_penalty, rng)
         generated.append(nxt)
         ids.append(nxt)
@@ -235,12 +233,11 @@ def generate(params: ModelParams, config: ModelConfig, prompt_ids, *, max_new: i
 
 def generate_text(params, config, prompt: str, vocab: Vocab, *, max_new: int,
                   temperature: float = 0.0, repetition_penalty: float = 1.1,
-                  seed: int = 0, fp8: bool = False) -> str:
+                  seed: int = 0) -> str:
     """Encode, generate with the vocab's eos as stop, and decode to text."""
     ids = np.array(encode(prompt, vocab), dtype=np.int64)
     out = generate(params, config, ids, max_new=max_new, temperature=temperature,
-                   repetition_penalty=repetition_penalty, seed=seed,
-                   eos_id=vocab.eos_id, fp8=fp8)
+                   repetition_penalty=repetition_penalty, seed=seed, eos_id=vocab.eos_id)
     if vocab.eos_id is not None and out.size and out[-1] == vocab.eos_id:
         out = out[:-1]
     return decode(out, vocab).decode("utf-8", errors="replace")
@@ -267,13 +264,11 @@ def load_tasks(path) -> tuple[list[MCTask], list[EMTask]]:
 
 
 def evaluate_tasks(params, config, tasks: Sequence[MCTask], vocab: Vocab, *, k: int = 0,
-                   seed: int = 0, logprob_fn=None, fp8: bool = False
-                   ) -> tuple[list[dict], dict]:
+                   seed: int = 0, logprob_fn=None) -> tuple[list[dict], dict]:
     """Per-task records plus aggregate accuracies; order-independent."""
     records = []
     for task in tasks:
-        result = mc_score(params, config, task, vocab, k=k, seed=seed,
-                          logprob_fn=logprob_fn, fp8=fp8)
+        result = mc_score(params, config, task, vocab, k=k, seed=seed, logprob_fn=logprob_fn)
         result["question"] = task.question
         records.append(result)
     if records:
@@ -286,7 +281,7 @@ def evaluate_tasks(params, config, tasks: Sequence[MCTask], vocab: Vocab, *, k: 
 
 
 def evaluate_em_tasks(params, config, tasks: Sequence[EMTask], vocab: Vocab, *,
-                      max_new: int = 32, fp8: bool = False) -> tuple[list[dict], dict]:
+                      max_new: int = 32) -> tuple[list[dict], dict]:
     """Greedy-generate an answer per question and score exact match.
 
     The prediction is the generated text up to its first newline.
@@ -294,7 +289,7 @@ def evaluate_em_tasks(params, config, tasks: Sequence[EMTask], vocab: Vocab, *,
     records = []
     for task in tasks:
         text = generate_text(params, config, task.question + QUERY_SUFFIX, vocab,
-                             max_new=max_new, temperature=0.0, fp8=fp8)
+                             max_new=max_new, temperature=0.0)
         prediction = text.split("\n", 1)[0].strip()
         records.append({"question": task.question, "prediction": prediction,
                         "em_correct": exact_match(prediction, task.answers)})

@@ -8,9 +8,9 @@ smallest positive step of 2**-9. Conversion rounds to nearest with
 ties to even and saturates beyond +/-448.
 
 Only the numerics are emulated; storage stays in the input float dtype.
-The model reads its weights rounded through `model.fp8_weights`, which
-an evaluation call applies once, and rounds each linear layer's input
-at forward time.
+The weights carry the fp8 request: a forward given `model.fp8_weights`
+reads their rounded attention and MLP matrices and rounds each linear
+layer's input at forward time.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ sliding-window causal masking, grouped-query attention, and a gated
 Only this module knows the parameter layout: `LAYER_KEYS`, `param_shapes`
 and `ModelParams.build`, which makes tensors in `named_tensors` order.
 LoRA and fp8 only reparametrize weights (`lora_weights`, `fp8_weights`);
-blocks read plain ones, and with fp8 round each sublayer's input once.
+blocks read plain ones; a forward given `Fp8Params` rounds each sublayer's input.
 `DecodeSession` caches one model's rotated keys and values, and setting
 its `pos` back rewinds it; q, k and v stay [T, heads, head_dim] from
 their projections to `T.attention`. Scoring several continuations of
@@ -143,7 +143,7 @@ class ModelParams:
 
 
 class Fp8Params(ModelParams):
-    """ModelParams whose attention and MLP weights are E4M3 values (`fp8_weights`)."""
+    """ModelParams with E4M3 attention and MLP weights; a forward given them runs in fp8."""
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -214,7 +214,10 @@ class LoraAdapter:
 def lora_weights(params: ModelParams, adapters: dict[str, LoraAdapter]) -> ModelParams:
     """The one LoRA formula: each adapted weight becomes w + scale * (a @ b),
     built from graph ops so gradients reach a and b; every other weight is
-    the caller's own tensor. The adapter forward and lora_merge read it."""
+    the caller's own tensor. The adapter forward and lora_merge read it.
+    Adapt, then round, so that fp8 is never dropped: Fp8Params raise."""
+    if isinstance(params, Fp8Params):
+        raise TypeError("adapt unrounded weights, then round: fp8_weights(lora_weights(...))")
     named = params.named_tensors()
     unknown = set(adapters) - set(named)
     if unknown:
@@ -236,9 +239,9 @@ def fp8_weights(params: ModelParams) -> Fp8Params:
     """The fp8 reparametrization: each attention and MLP weight matrix
     rounded to E4M3, with gradients passed straight through; the
     embedding, norm and lm_head weights are the caller's own tensors.
-    Fp8Params come back as they are, so an evaluation call that rounds
-    once hands every forward the same rounded weights. They are a
-    snapshot: a later in-place update of params does not reach them."""
+    A forward given the result runs in fp8, the only way to ask for it.
+    Fp8Params come back as they are. They are a snapshot: a later
+    in-place update of params does not reach them."""
     if isinstance(params, Fp8Params):
         return params
     named = params.named_tensors()
@@ -251,7 +254,7 @@ def fp8_weights(params: ModelParams) -> Fp8Params:
 
 
 def linear(x: Tensor, w: Tensor, *, fp8: bool = False) -> Tensor:
-    """x @ w; fp8 rounds x to E4M3 (fp8 weights come rounded from fp8_weights)."""
+    """x @ w; fp8 (set by `forward` for Fp8Params) rounds x to E4M3."""
     return T.matmul(fp8_emulate(x) if fp8 else x, w)
 
 
@@ -407,17 +410,16 @@ def decoder_block(x: Tensor, layer: LayerParams, mask: Tensor, config: ModelConf
 
     rope is rope_tables for positions when already computed. kv, given a
     session, maps this block's new rotated keys and values, each
-    [T, n_kv_heads, head_dim], to the ones its attention reads. fp8 rounds
-    each linear input to E4M3, a normed input once for all its
-    projections; the weights must come from fp8_weights.
+    [T, n_kv_heads, head_dim], to the ones its attention reads. fp8, set
+    by `forward` for Fp8Params, rounds each linear input to E4M3, a normed
+    input once for all its projections.
     """
     t_len, d = x.shape[0], config.head_dim
     if positions is None:
         positions = np.arange(t_len)
 
     h = T.rms_norm(x, layer.norm_attn, config.norm_eps)
-    if fp8:
-        h = fp8_emulate(h)
+    h = fp8_emulate(h) if fp8 else h
     q, k, v = (T.reshape(linear(h, w), (t_len, -1, d))
                for w in (layer.wq, layer.wk, layer.wv))
     q = rope_rotate(q, positions, config.rope_theta, tables=rope)
@@ -428,8 +430,7 @@ def decoder_block(x: Tensor, layer: LayerParams, mask: Tensor, config: ModelConf
     x = T.add(x, attn)
 
     h = T.rms_norm(x, layer.norm_mlp, config.norm_eps)
-    if fp8:
-        h = fp8_emulate(h)
+    h = fp8_emulate(h) if fp8 else h
     gate = T.silu(linear(h, layer.w_gate))
     up = linear(h, layer.w_up)
     y = linear(T.mul(gate, up), layer.w_down, fp8=fp8)
@@ -444,18 +445,15 @@ class DecodeSession:
     tokens at positions pos.., writes their keys and values to the rows
     after the live ones and advances pos; a step past capacity raises.
     Setting pos back rewinds: the next step overwrites the rows past it.
-    A session reads the weights as of its construction, as its cached K/V
-    already do: with fp8 it rounds them once there (`fp8_weights`).
+    Each step reads its params as they are then: Fp8Params are a snapshot,
+    but plain params are the caller's live tensors, and an in-place update
+    (`AdamW.step`) reaches later steps while the cached K/V stay as made.
     """
 
-    def __init__(self, params: ModelParams, config: ModelConfig, capacity: int, *,
-                 fp8: bool = False):
+    def __init__(self, params: ModelParams, config: ModelConfig, capacity: int):
         if not 0 <= capacity <= config.max_context:
             raise ValueError(f"cache capacity {capacity} outside [0, {config.max_context}]")
-        if fp8:
-            with T.no_grad():
-                params = fp8_weights(params)
-        self.params, self.config, self.fp8, self.pos = params, config, fp8, 0
+        self.params, self.config, self.pos = params, config, 0
         shape = (2, config.n_layers, capacity, config.n_kv_heads, config.head_dim)
         self.k_cache, self.v_cache = np.zeros(shape, params.dtype)
 
@@ -474,19 +472,18 @@ class DecodeSession:
         """Process new tokens; returns their [t, vocab] logit rows."""
         with T.no_grad():
             return forward(self.params, np.asarray(tokens, dtype=np.int64).reshape(-1),
-                           self.config, fp8=self.fp8, cache=self).data
+                           self.config, cache=self).data
 
 
-def forward(params: ModelParams, tokens, config: ModelConfig, *, fp8: bool = False,
-            adapters=None, cache: DecodeSession | None = None, segments=None) -> Tensor:
+def forward(params: ModelParams, tokens, config: ModelConfig, *, adapters=None,
+            cache: DecodeSession | None = None, segments=None) -> Tensor:
     """Logits [T, vocab] for one token sequence.
 
-    fp8 rounds attention/MLP linear operands to E4M3 at forward time;
-    the embedding, lm_head, and norm weights are never rounded. The
-    weights are read through fp8_weights, so Fp8Params are not rounded
-    again. adapters maps tensor names (as in named_tensors) to
-    LoraAdapter; the forward reads lora_weights(params, adapters), as
-    lora_merge stores.
+    Given Fp8Params (`fp8_weights`), the forward runs in fp8: it reads
+    their E4M3 attention/MLP weights and rounds each sublayer's input to
+    E4M3; the embedding, lm_head, and norm weights are never rounded.
+    adapters maps tensor names (as in named_tensors) to LoraAdapter; the
+    forward reads lora_weights(params, adapters), as lora_merge stores.
 
     With a cache (a DecodeSession, only under no_grad), the tokens
     continue the cached ones: they sit at positions cache.pos.., attend
@@ -518,8 +515,7 @@ def forward(params: ModelParams, tokens, config: ModelConfig, *, fp8: bool = Fal
                          f"{config.max_context}")
     if adapters:
         params = lora_weights(params, adapters)
-    if fp8:
-        params = fp8_weights(params)
+    fp8 = isinstance(params, Fp8Params)
     mask = attention_mask(t_len, config.sliding_window, dtype=params.dtype, start=start,
                           segments=segments)
     rope = rope_tables(positions, config.head_dim, config.rope_theta, params.dtype)

@@ -111,8 +111,7 @@ class TrainPlan:
         return sum(stage.token_budget for stage in self.stages)
 
 
-def batch_loss(params: ModelParams, config: ModelConfig, examples, *,
-               fp8: bool = False, adapters=None) -> Tensor:
+def batch_loss(params: ModelParams, config: ModelConfig, examples) -> Tensor:
     """Mean next-token cross-entropy over (inputs, targets) examples.
 
     The package's one forward-then-cross-entropy: pretrain, SFT and
@@ -123,8 +122,7 @@ def batch_loss(params: ModelParams, config: ModelConfig, examples, *,
     windows all score seq_len - 1 rows, so for them it is the
     per-position mean.
     """
-    losses = [cross_entropy(forward(params, inputs, config, fp8=fp8, adapters=adapters),
-                            targets)
+    losses = [cross_entropy(forward(params, inputs, config), targets)
               for inputs, targets in examples]
     return mul(reduce(add, losses), 1.0 / len(losses))
 
@@ -213,16 +211,18 @@ class Trainer:
         if not self._val_set:
             return None
         with no_grad():
-            # fp8 rounds the weights once for every window
-            params = fp8_weights(self.params) if self.plan.fp8 else self.params
-            loss = batch_loss(params, self.config, self._val_set, fp8=self.plan.fp8)
-        return float(loss.item())
+            return float(self._loss(self._val_set).item())
+
+    def _loss(self, examples) -> Tensor:
+        """batch_loss of the examples; with fp8 each call rounds the weights
+        afresh, since optimize frees each micro-batch's graph."""
+        params = fp8_weights(self.params) if self.plan.fp8 else self.params
+        return batch_loss(params, self.config, examples)
 
     def train_step(self, batch, seq_len: int) -> dict:
         """One optimization step on an explicit batch, one window per
         micro-batch; returns the log record."""
-        parts = [partial(batch_loss, self.params, self.config, [window], fp8=self.plan.fp8)
-                 for window in batch]
+        parts = [partial(self._loss, [window]) for window in batch]
         tokens = sum(len(window) for window, _ in batch)
         lr = cosine_lr(self.tokens_seen + tokens, self.plan.schedule)
         train_loss = optimize(parts, self.opt, lr)

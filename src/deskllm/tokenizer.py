@@ -151,10 +151,12 @@ def _b64(path, lineno: int, field: str) -> bytes:
 
 def load_vocab(path, merges_path=None, bos_id: int | None = None,
                eos_id: int | None = None, pad_id: int | None = None) -> Vocab:
-    """One base64 token per line; an empty line is the empty token. A line
-    that is not base64, or that repeats an earlier line's token, raises
-    ValueError "<path>:<line>: ..."."""
-    lines = Path(path).read_text(encoding="ascii").splitlines()
+    """One base64 token per line; an empty line is the empty token. Lines
+    end at "\\n" only, not at the \\v, \\f or \\x1c-\\x1e of `str.splitlines`.
+    A line that is not base64, or that repeats an earlier line's token,
+    raises ValueError "<path>:<line>: ..."."""
+    lines = Path(path).read_text(encoding="ascii").split("\n")
+    lines = lines[:-1] if lines[-1] == "" else lines  # the field after a final "\n"
     tokens = [_b64(path, lineno, line) for lineno, line in enumerate(lines, start=1)]
     first_line: dict[bytes, int] = {}
     for lineno, token in enumerate(tokens, start=1):
@@ -172,10 +174,10 @@ def save_merges(merges: Iterable[tuple[bytes, bytes]], path) -> None:
 
 
 def load_merges(path) -> list[tuple[bytes, bytes]]:
-    """One "left right" pair of base64 fields per non-empty line. Any other
-    line raises ValueError "<path>:<line>: ..."."""
+    """One "left right" pair of base64 fields per non-empty line, split on
+    "\\n" only. Any other line raises ValueError "<path>:<line>: ..."."""
     out = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="ascii").split("\n"), start=1):
         if not line:
             continue
         fields = line.split(" ")

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 
-from deskllm import model
+from deskllm import fp8, model
 from deskllm.model import ModelConfig, ModelParams, init_params
 
 
@@ -90,3 +90,24 @@ def count_forwards(monkeypatch) -> list[int]:
         if name.startswith("deskllm") and getattr(module, "forward", None) is real:
             monkeypatch.setattr(module, "forward", counted)
     return calls
+
+
+def count_roundings(monkeypatch) -> list[np.ndarray]:
+    """Record every array that `fp8.fp8_e4m3` rounds, for the rest of the test."""
+    rounded: list[np.ndarray] = []
+    real = fp8.fp8_e4m3
+
+    def counted(x):
+        rounded.append(x)
+        return real(x)
+
+    monkeypatch.setattr(fp8, "fp8_e4m3", counted)
+    return rounded
+
+
+def weight_roundings(rounded, params: ModelParams) -> dict[str, int]:
+    """How many of the `rounded` arrays equal each attention and MLP weight
+    matrix of params, the ones `fp8_weights` rounds."""
+    return {name: sum(np.shape(x) == t.shape and np.array_equal(x, t.data) for x in rounded)
+            for name, t in params.named_tensors().items()
+            if name.startswith("layers.") and "norm" not in name}

@@ -31,6 +31,8 @@ from deskllm.runconfig import (DataPaths, EvalPlan, GeneratePlan, RemapPlan,
 from deskllm.tensor import no_grad
 from deskllm.tokenizer import Vocab, save_vocab
 
+from modelutil import count_roundings, weight_roundings
+
 WORDS = ("alpha", "bravo", "carbon", "delta", "ember", "falcon",
          "granite", "harbor", "indigo", "juniper")
 
@@ -401,6 +403,22 @@ def test_broken_stdout_pipe_is_quiet(pipeline):
         os.close(write_fd)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+def test_fp8_commands_round_each_weight_once(world, pipeline, monkeypatch):
+    # eval scores 3 MC tasks, 2 EM tasks and a perplexity; all share one rounding
+    ckpt = "pipe/checkpoints/pretrain.dkpt"
+    config = _config_file(
+        world, "fp8_once", fp8=True,
+        eval={"checkpoint": ckpt, "k_shot": 0, "seq_len": 32, "max_new": 4},
+        generate={"checkpoint": ckpt, "prompt": "alpha bravo", "max_new": 8})
+    _, params, _ = load_model(world / ckpt)
+    rounded = count_roundings(monkeypatch)
+    for command in ("eval", "generate"):
+        rounded.clear()
+        assert main([command, "--config", str(config)]) == 0
+        counts = weight_roundings(rounded, params)
+        assert len(counts) == 14 and set(counts.values()) == {1}, (command, counts)
 
 
 def test_generate_requires_prompt(world, capsys):

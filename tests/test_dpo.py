@@ -16,7 +16,7 @@ from deskllm.dpo import (DpoPlan, DpoStage, PreferencePair, build_preference_pai
                          lora_merge, render_pair, sequence_logprob, two_stage_plan)
 from deskllm import dpo as dpo_module
 from deskllm.errors import ConfigError
-from deskllm.model import forward, linear, lora_weights
+from deskllm.model import forward, fp8_weights, linear, lora_weights
 from deskllm.pretrain import TrainingDiverged, batch_loss
 from deskllm.tensor import Tensor, add, mul, no_grad
 from deskllm.tokenizer import byte_fallback_vocab, encode
@@ -163,7 +163,8 @@ def separate_logprob(params, cfg, prompt_ids, response, adapters=None) -> Tensor
         return Tensor(np.zeros(()))
     example = sft_example(np.concatenate([prompt_ids, response]),
                           np.repeat([0, 1], [len(prompt_ids), len(response)]))
-    return mul(batch_loss(params, cfg, [example], adapters=adapters), -float(len(response)))
+    return mul(batch_loss(lora_weights(params, adapters or {}), cfg, [example]),
+               -float(len(response)))
 
 
 class TestPrefixSharedScorer:
@@ -272,8 +273,12 @@ class TestLoraAdapters:
             merged_params = lora_merge(params, adapters)
             ids = np.array([1, 5, 2, 9, 3])
             for fp8 in (False, True):
-                unmerged = forward(params, ids, cfg, fp8=fp8, adapters=adapters).data
-                merged = forward(merged_params, ids, cfg, fp8=fp8).data
+                if fp8:
+                    unmerged = forward(fp8_weights(lora_weights(params, adapters)), ids, cfg).data
+                    merged = forward(fp8_weights(merged_params), ids, cfg).data
+                else:
+                    unmerged = forward(params, ids, cfg, adapters=adapters).data
+                    merged = forward(merged_params, ids, cfg).data
                 assert np.array_equal(unmerged, merged), (dtype, fp8)
 
     def test_merge_leaves_input_params_untouched(self):

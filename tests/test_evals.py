@@ -16,13 +16,14 @@ from deskllm.evals import (DecodeSession, EMTask, MCTask, apply_repetition_penal
                            mc_pick, mc_score, perplexity, save_results)
 from deskllm.data import write_jsonl
 from deskllm.dpo import init_lora_adapters, lora_merge
-from deskllm.model import forward
+from deskllm.model import forward, fp8_weights
 from deskllm.optim import AdamW
 from deskllm.pretrain import batch_loss
 from deskllm.tensor import no_grad
 from deskllm.tokenizer import byte_fallback_vocab, encode
 
-from modelutil import count_forwards, tiny_config, tiny_model
+from modelutil import (count_forwards, count_roundings, tiny_config, tiny_model,
+                       weight_roundings)
 
 
 def memorizer_model():
@@ -204,8 +205,8 @@ class TestPrefixSharedMC:
     def test_matches_full_forward_per_choice(self, mode):
         cfg, params = tiny_model(seed=19, vocab_size=259, sliding_window=8)
         vocab = byte_fallback_vocab()
-        kwargs = {"fp8": True} if mode == "fp8" else {}
-        n_prompt, got, want = self._score(params, cfg, self.TASK, vocab, **kwargs)
+        weights = fp8_weights(params) if mode == "fp8" else params
+        n_prompt, got, want = self._score(weights, cfg, self.TASK, vocab)
         assert n_prompt > cfg.sliding_window
         assert len(encode("x", vocab)) == 1
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
@@ -239,6 +240,31 @@ class TestPrefixSharedMC:
         forward_order = mc_score(params, cfg, task, vocab, k=2, seed=3)["logprobs"]
         reverse_order = mc_score(params, cfg, flipped, vocab, k=2, seed=3)["logprobs"]
         assert np.array(forward_order).tobytes() == np.array(reverse_order[::-1]).tobytes()
+
+
+class TestFp8Params:
+    """Weights rounded once by the caller (`fp8_weights`) serve every forward."""
+
+    @pytest.mark.parametrize("call", ["evaluate_tasks", "mc_score", "generate_uncached"])
+    def test_no_weight_is_rounded_again(self, call, monkeypatch):
+        cfg, params = tiny_model(seed=23, vocab_size=259, sliding_window=8)
+        vocab = byte_fallback_vocab()
+        first = TestPrefixSharedMC.TASK
+        tasks = [first, MCTask("Other?", ("a", "bb"), gold=1, exemplars=first.exemplars)]
+        with no_grad():
+            fp8 = fp8_weights(params)
+        rounded = count_roundings(monkeypatch)
+        calls = count_forwards(monkeypatch)
+        if call == "evaluate_tasks":
+            evaluate_tasks(fp8, cfg, tasks, vocab, k=2)
+        elif call == "mc_score":
+            mc_score(fp8, cfg, tasks[0], vocab, k=2)
+        else:
+            generate(fp8, cfg, [1, 2, 3], max_new=8, use_cache=False)
+        # each forward rounds 4 sublayer inputs per layer, and nothing else
+        assert len(rounded) == 4 * cfg.n_layers * len(calls) > 0
+        for weights in (params, fp8):
+            assert set(weight_roundings(rounded, weights).values()) == {0}
 
 
 class TestFewShotRender:
@@ -367,18 +393,18 @@ class TestGenerate:
         for a in adapters.values():
             a.b.data[...] = 0.03
         merged = lora_merge(params, adapters)
-        for weights, fp8 in ((merged, False), (params, True)):
-            cached = generate(weights, cfg, [1, 2, 3], max_new=8, use_cache=True, fp8=fp8)
-            full = generate(weights, cfg, [1, 2, 3], max_new=8, use_cache=False, fp8=fp8)
+        for weights in (merged, fp8_weights(params)):
+            cached = generate(weights, cfg, [1, 2, 3], max_new=8, use_cache=True)
+            full = generate(weights, cfg, [1, 2, 3], max_new=8, use_cache=False)
             assert np.array_equal(cached, full)
-        # A session rounds the weights as of its construction: after an
-        # in-place step, the next one reads the stepped weights.
+        # fp8_weights reads the weights as they are when it is called: after
+        # an in-place step, rounding again reads the stepped weights.
         adamw_step(params, cfg, [1, 2, 3, 4, 5, 6], lr=0.2)
-        stepped = generate(params, cfg, [1, 2, 3], max_new=8, fp8=True)
+        stepped = generate(fp8_weights(params), cfg, [1, 2, 3], max_new=8)
         assert not np.array_equal(stepped, cached)
         for weights, use_cache in ((params, False), (copy.deepcopy(params), True)):
-            assert np.array_equal(stepped, generate(weights, cfg, [1, 2, 3], max_new=8,
-                                                    use_cache=use_cache, fp8=True))
+            assert np.array_equal(stepped, generate(fp8_weights(weights), cfg, [1, 2, 3],
+                                                    max_new=8, use_cache=use_cache))
 
     def test_greedy_is_bitwise_deterministic(self):
         cfg, params = tiny_model(seed=12, vocab_size=32)

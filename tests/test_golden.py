@@ -19,6 +19,7 @@ import pytest
 from deskllm.checkpoint import load_checkpoint, load_model
 from deskllm.cli import main
 from deskllm.evals import generate
+from deskllm.model import fp8_weights
 from deskllm.runconfig import load_run_config
 from deskllm.tokenizer import encode
 
@@ -69,10 +70,11 @@ def snapshot(config: Path) -> tuple[dict, dict[str, np.ndarray]]:
     records["eval"] = [json.loads(line) for line in eval_lines]
     plan, vocab = cfg.generate, cfg.load_vocab()
     model_config, params, _ = load_model(run_dir / "checkpoints" / "dpo.dkpt")
-    ids = generate(params, model_config, np.array(encode(plan.prompt, vocab), dtype=np.int64),
+    weights = fp8_weights(params) if cfg.fp8 else params
+    ids = generate(weights, model_config, np.array(encode(plan.prompt, vocab), dtype=np.int64),
                    max_new=plan.max_new, temperature=plan.temperature,
                    repetition_penalty=plan.repetition_penalty, seed=cfg.seed,
-                   eos_id=vocab.eos_id, fp8=cfg.fp8)
+                   eos_id=vocab.eos_id)
     records["generated_ids"] = [int(i) for i in ids]
     records["generation"] = (run_dir / "results" / "generation.txt").read_text(encoding="utf-8")
     return records, tensors

@@ -20,6 +20,7 @@ from deskllm.model import (
     count_params,
     decoder_block,
     forward,
+    fp8_weights,
     gqa_attention,
     init_params,
     lora_weights,
@@ -31,7 +32,8 @@ from deskllm.pretrain import batch_loss
 from deskllm.tensor import ShapeError, Tensor, cross_entropy, no_grad
 
 from fdcheck import check_grad
-from modelutil import reference_forward, tiny_config, tiny_model
+from modelutil import (count_roundings, reference_forward, tiny_config, tiny_model,
+                       weight_roundings)
 
 
 class TestModelConfig:
@@ -532,12 +534,12 @@ class TestForward:
     def test_fp8_rounds_linear_weights(self):
         cfg, params = tiny_model(seed=6)
         ids = [1, 2, 3]
-        base = forward(params, ids, cfg, fp8=True).data
+        base = forward(fp8_weights(params), ids, cfg).data
         # a sub-ulp change to an attention weight must vanish under E4M3
         params.layers[0].wq.data[...] = 1.0
-        a = forward(params, ids, cfg, fp8=True).data
+        a = forward(fp8_weights(params), ids, cfg).data
         params.layers[0].wq.data[...] = 1.0 + 1e-6
-        b = forward(params, ids, cfg, fp8=True).data
+        b = forward(fp8_weights(params), ids, cfg).data
         assert np.array_equal(a, b)
         assert not np.array_equal(base, a)
 
@@ -545,19 +547,33 @@ class TestForward:
         ids = [1, 2, 3]
         for name in ("lm_head", "final_norm", "token_embedding"):
             cfg, params = tiny_model(seed=7)
-            before = forward(params, ids, cfg, fp8=True).data
+            before = forward(fp8_weights(params), ids, cfg).data
             tensor = params.named_tensors()[name]
             tensor.data[...] = tensor.data + 1e-6
-            after = forward(params, ids, cfg, fp8=True).data
+            after = forward(fp8_weights(params), ids, cfg).data
             assert not np.array_equal(before, after), name
 
     def test_fp8_differs_from_full_precision(self):
         cfg, params = tiny_model(seed=8)
         ids = [4, 5, 6, 7]
         full = forward(params, ids, cfg).data
-        quant = forward(params, ids, cfg, fp8=True).data
+        quant = forward(fp8_weights(params), ids, cfg).data
         assert np.all(np.isfinite(quant))
         assert not np.array_equal(full, quant)
+
+    def test_fp8_params_round_four_sublayer_inputs_per_layer(self, monkeypatch):
+        # The weights' type is the one fp8 signal: a forward given Fp8Params
+        # rounds the two normed inputs, the attention context and the MLP
+        # product of every layer, and no weight again.
+        cfg, params = tiny_model(seed=8)
+        ids = [4, 5, 6, 7]
+        with no_grad():
+            fp8 = fp8_weights(params)
+            rounded = count_roundings(monkeypatch)
+            forward(fp8, ids, cfg)
+        h, inter = cfg.hidden_size, cfg.intermediate_size
+        assert [x.shape for x in rounded] == [(4, h), (4, h), (4, h), (4, inter)] * cfg.n_layers
+        assert set(weight_roundings(rounded, fp8).values()) == {0}
 
     def test_zero_adapter_is_identity(self):
         cfg, params = tiny_model(seed=9)
@@ -617,6 +633,18 @@ class TestLinear:
             with pytest.raises(ShapeError):
                 lora_weights(params, {"layers.0.attn.wq": bad})
 
+    def test_rounded_weights_rejected(self):
+        # adapt first, then round: fp8_weights(lora_weights(params, adapters))
+        cfg, params = tiny_model(seed=15)
+        rng = np.random.default_rng(0)
+        h = cfg.hidden_size
+        adapter = LoraAdapter(a=Tensor(rng.normal(size=(h, 2))),
+                              b=Tensor(rng.normal(size=(2, h))), alpha=16.0)
+        with pytest.raises(TypeError, match="fp8_weights"):
+            lora_weights(fp8_weights(params), {"layers.0.attn.wq": adapter})
+        with pytest.raises(TypeError):
+            forward(fp8_weights(params), [1, 2], cfg, adapters={"layers.0.attn.wq": adapter})
+
     def test_scale_is_alpha_over_rank(self):
         adapter = LoraAdapter(a=Tensor(np.zeros((4, 4))), b=Tensor(np.zeros((4, 4))),
                               alpha=16.0)
@@ -633,11 +661,12 @@ class TestNoGradResults:
         monkeypatch.setattr(T, "_make", lambda *args: made.append(make(*args)) or made[-1])
         ids = np.arange(7) % cfg.vocab_size
         with no_grad():
-            for fp8 in (False, True):
-                cross_entropy(forward(params, ids, cfg, fp8=fp8), ids)
+            fp8 = fp8_weights(params)
+            for weights in (params, fp8):
+                cross_entropy(forward(weights, ids, cfg), ids)
             # two examples: the loss mean adds and scales 0-d arrays
             batch_loss(params, cfg, [(ids[:-1], ids[1:]), (ids[1:], ids[:-1])])
-        DecodeSession(params, cfg, 8, fp8=True).step(ids)
+        DecodeSession(fp8, cfg, 8).step(ids)
         assert len(made) > 100
         for out in made:
             assert type(out.data) is np.ndarray and out.data.dtype == params.dtype

@@ -10,7 +10,6 @@ import weakref
 import numpy as np
 import pytest
 
-from deskllm import fp8 as fp8_module
 from deskllm import pretrain as pretrain_module
 from deskllm.data import DataStage, Document
 from deskllm.errors import ConfigError
@@ -28,7 +27,7 @@ from deskllm.pretrain import (
 from deskllm.tokenizer import byte_fallback_vocab, encode
 from deskllm.tensor import IGNORE_INDEX, Tensor, mul, tsum
 
-from modelutil import tiny_model
+from modelutil import count_roundings, tiny_model, weight_roundings
 
 VOCAB = byte_fallback_vocab()
 
@@ -273,18 +272,18 @@ class TestRunLoop:
         trainer, _, params = make_trainer(val=True, fp8=True, batch_sequences=4, val_batches=1)
         trainer._enter_stage(0, trainer.plan.stages[0])
         assert len(trainer._val_set) == 4
-        weights = [t.data for name, t in params.named_tensors().items()
-                   if name.startswith("layers.") and "norm" not in name]
-        rounded = []
-        real = fp8_module.fp8_e4m3
-
-        def counted(x):
-            rounded.extend(w for w in weights if x is w)
-            return real(x)
-
-        monkeypatch.setattr(fp8_module, "fp8_e4m3", counted)
+        rounded = count_roundings(monkeypatch)
         assert np.isfinite(trainer._val_loss())
-        assert len(rounded) == len(weights) == 14
+        counts = weight_roundings(rounded, params)
+        assert len(counts) == 14 and set(counts.values()) == {1}
+
+    def test_fp8_step_rounds_each_weight_once_per_window(self, monkeypatch):
+        # optimize frees each window's graph, so each window rounds afresh
+        trainer, cfg, params = make_trainer(fp8=True)
+        rounded = count_roundings(monkeypatch)
+        trainer.train_step(fixed_batch(cfg, n=3), 8)
+        counts = weight_roundings(rounded, params)
+        assert len(counts) == 14 and set(counts.values()) == {3}
 
     def test_rerun_is_bitwise_identical(self):
         runs = []

@@ -173,6 +173,23 @@ class TestVocabFiles:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: '!!' is not base64"):
             load_merges(path)
 
+    def test_vocab_line_holding_a_form_feed_is_not_two_lines(self, tmp_path):
+        # str.splitlines would cut line 1 at the form feed and load 4 tokens
+        path = tmp_path / "vocab.txt"
+        path.write_text("YQ==\fYg==\nYw==\nZA==\n", encoding="ascii")
+        with pytest.raises(ValueError,
+                           match=rf"^{re.escape(str(path))}:1: 'YQ==\\x0cYg==' is not base64"):
+            load_vocab(path)
+
+    def test_merges_line_holding_a_group_separator_is_not_two_merges(self, tmp_path):
+        # str.splitlines would cut the line at \x1c and load two merges
+        path = tmp_path / "merges.txt"
+        path.write_text("YQ== Yg==\x1cYQ== Yw==\n", encoding="ascii")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:1: expected two "
+                                             r"base64 fields split by one space, got "
+                                             r"'YQ== Yg==\\x1cYQ== Yw=='$"):
+            load_merges(path)
+
     def test_specials_supplied_at_load(self, tmp_path):
         v = byte_fallback_vocab()
         save_vocab(v, tmp_path / "vocab.txt")
