@@ -14,7 +14,10 @@ Layout, all integers little-endian:
 
 Optimizer moments are stored beside the weights as "optim.m.<name>" and
 "optim.v.<name>"; the step count rides in extra. Round-tripping is
-bitwise: load(save(x)) reproduces every tensor byte for byte.
+bitwise: load(save(x)) reproduces every tensor byte for byte. Both ways
+stream: save hashes and writes one tensor at a time, and load reads each
+tensor straight into its own array, so neither holds the file's bytes
+beside the tensors.
 """
 
 from __future__ import annotations
@@ -22,10 +25,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass
-from pathlib import Path
-
 import numpy as np
 
 from .errors import ConfigError
@@ -83,49 +85,38 @@ def save_checkpoint(path, config: ModelConfig, tensors: dict[str, np.ndarray],
 
 
 def load_checkpoint(path) -> Checkpoint:
-    raw = memoryview(Path(path).read_bytes())
-    if len(raw) < 16 + 32 or raw[:4] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint (bad magic or truncated)")
-    version = struct.unpack("<I", raw[4:8])[0]
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    hlen = struct.unpack("<Q", raw[8:16])[0]
-    if 16 + hlen + 32 > len(raw):
-        raise CheckpointError(f"{path}: truncated header")
-    if hashlib.sha256(raw[16:-32]).digest() != raw[-32:]:
-        raise CheckpointError(f"{path}: checksum mismatch")
-    try:
-        header = json.loads(bytes(raw[16:16 + hlen]))
-    except ValueError as e:  # not UTF-8 or not JSON
-        raise CheckpointError(f"{path}: header is not JSON: {e}") from e
-    if not (isinstance(header, dict) and isinstance(header.get("tensors"), list)
-            and isinstance(header.get("config"), dict) and isinstance(header.get("extra", {}), dict)):
-        raise CheckpointError(f"{path}: header needs a tensors list, a config object "
-                              "and, if any, an extra object")
-    start, payload_len = 16 + hlen, len(raw) - 48 - hlen
-    tensors: dict[str, np.ndarray] = {}
-    for i, e in enumerate(header["tensors"]):
-        if not isinstance(e, dict):
-            raise CheckpointError(f"{path}: tensor #{i} is not an object")
-        where = f"{path}: tensor {e.get('name', f'#{i}')!r}"
-        missing = [key for key in _ENTRY_KEYS if key not in e]
-        if missing:
-            raise CheckpointError(f"{where} has no {', '.join(missing)}")
-        name, dtype, shape, offset, nbytes = (e[key] for key in _ENTRY_KEYS)
-        if dtype not in _ALLOWED_DTYPES:
-            raise CheckpointError(f"{where} has unsupported dtype")
-        if not (isinstance(shape, list)
-                and all(type(n) is int and n >= 0 for n in [*shape, offset, nbytes])):
-            raise CheckpointError(f"{where}: shape, offset and nbytes must hold ints >= 0")
-        dt = np.dtype(dtype)
-        if nbytes != math.prod(shape) * dt.itemsize:
-            raise CheckpointError(f"{where}: nbytes {nbytes} does not fit shape {shape}")
-        if offset + nbytes > payload_len:
-            raise CheckpointError(f"{where} extends past payload")
-        if name in tensors:
-            raise CheckpointError(f"{where} is listed twice")
-        tensors[name] = np.frombuffer(raw, dtype=dt, count=nbytes // dt.itemsize,
-                                      offset=start + offset).reshape(shape).copy()
+    """Read a checkpoint, streaming each tensor into its own array.
+
+    The header is checked against the file size before any tensor array
+    is allocated, and every byte is hashed as it is read. A file whose
+    digest does not match raises "checksum mismatch" first, even when its
+    header is bad too; a bad header raises only once the digest matched.
+    """
+    with open(path, "rb", buffering=0) as f:
+        size = os.fstat(f.fileno()).st_size
+        preamble = _read_exact(f, 16) if size >= 16 + 32 else b""
+        if preamble[:4] != MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint (bad magic or truncated)")
+        version = struct.unpack("<I", preamble[4:8])[0]
+        if version != VERSION:
+            raise CheckpointError(f"{path}: unsupported version {version}")
+        hlen = struct.unpack("<Q", preamble[8:16])[0]
+        if 16 + hlen + 32 > size:
+            raise CheckpointError(f"{path}: truncated header")
+        header_json = _read_exact(f, hlen)
+        digest = hashlib.sha256(header_json)
+        payload_len = size - 48 - hlen
+        try:
+            header, entries = _parse_header(path, header_json, payload_len)
+        except CheckpointError as e:
+            header_error, entries = e, []
+        else:
+            header_error = None
+        tensors = _read_payload(f, digest, 16 + hlen, payload_len, entries)
+        if digest.digest() != _read_exact(f, 32):
+            raise CheckpointError(f"{path}: checksum mismatch")
+    if header_error is not None:
+        raise header_error
     fields = header["config"]
     for key in _LEGACY_FALSE_KEYS:
         if fields.pop(key, False) is not False:
@@ -135,6 +126,96 @@ def load_checkpoint(path) -> Checkpoint:
     except (TypeError, ConfigError) as e:  # unknown or missing field, or a bad value
         raise CheckpointError(f"{path}: unusable model config: {e}") from e
     return Checkpoint(version, config, tensors, header.get("extra", {}))
+
+
+def _read_exact(f, n: int) -> bytes:
+    out = bytearray(n)
+    _fill(f, memoryview(out))
+    return bytes(out)
+
+
+def _fill(f, view: memoryview) -> None:
+    """readinto `view` until it is full; the file was sized before reading."""
+    done = 0
+    while done < len(view):
+        got = f.readinto(view[done:])
+        if not got:
+            raise CheckpointError(f"{f.name}: file shrank while it was read")
+        done += got
+
+
+def _parse_header(path, header_json: bytes, payload_len: int) -> tuple[dict, list]:
+    """The header and its (name, dtype, shape, offset) entries, each checked
+    to lie inside a payload of `payload_len` bytes."""
+    try:
+        header = json.loads(header_json)
+    except ValueError as e:  # not UTF-8 or not JSON
+        raise CheckpointError(f"{path}: header is not JSON: {e}") from e
+    if not (isinstance(header, dict) and isinstance(header.get("tensors"), list)
+            and isinstance(header.get("config"), dict) and isinstance(header.get("extra", {}), dict)):
+        raise CheckpointError(f"{path}: header needs a tensors list, a config object "
+                              "and, if any, an extra object")
+    entries, names = [], set()
+    for i, e in enumerate(header["tensors"]):
+        if not isinstance(e, dict):
+            raise CheckpointError(f"{path}: tensor #{i} is not an object")
+        where = f"{path}: tensor {e.get('name', f'#{i}')!r}"
+        missing = [key for key in _ENTRY_KEYS if key not in e]
+        if missing:
+            raise CheckpointError(f"{where} has no {', '.join(missing)}")
+        name, dtype, shape, offset, nbytes = (e[key] for key in _ENTRY_KEYS)
+        if not isinstance(name, str):
+            raise CheckpointError(f"{where}: name must be a string")
+        if dtype not in _ALLOWED_DTYPES:
+            raise CheckpointError(f"{where} has unsupported dtype")
+        if not (isinstance(shape, list)
+                and all(type(n) is int and n >= 0 for n in [*shape, offset, nbytes])):
+            raise CheckpointError(f"{where}: shape, offset and nbytes must hold ints >= 0")
+        if nbytes != math.prod(shape) * np.dtype(dtype).itemsize:
+            raise CheckpointError(f"{where}: nbytes {nbytes} does not fit shape {shape}")
+        if offset + nbytes > payload_len:
+            raise CheckpointError(f"{where} extends past payload")
+        if name in names:
+            raise CheckpointError(f"{where} is listed twice")
+        names.add(name)
+        entries.append((name, dtype, shape, offset))
+    return header, entries
+
+
+def _read_payload(f, digest, start: int, payload_len: int, entries) -> dict[str, np.ndarray]:
+    """Hash the payload front to back, reading each entry's bytes straight
+    into a new array. Entries may come in any offset order, and may leave
+    gaps or overlap; the bytes of a gap are hashed through a scratch
+    buffer, and a byte that two entries share is hashed once."""
+    arrays: dict[str, np.ndarray] = {}
+    pos = 0  # payload bytes hashed so far
+    for name, dtype, shape, offset in sorted(entries, key=lambda e: e[3]):
+        arr = np.empty(shape, dtype=np.dtype(dtype))
+        raw = memoryview(arr.reshape(-1).view(np.uint8))
+        pos = _hash_span(f, digest, start, pos, offset)
+        f.seek(start + offset)
+        _fill(f, raw)
+        if offset + len(raw) > pos:
+            digest.update(raw[pos - offset:])
+            pos = offset + len(raw)
+        arrays[name] = arr
+    _hash_span(f, digest, start, pos, payload_len)
+    f.seek(start + payload_len)
+    return {name: arrays[name] for name, *_ in entries}
+
+
+def _hash_span(f, digest, start: int, pos: int, end: int) -> int:
+    """Hash payload bytes [pos, end) when pos < end; returns max(pos, end)."""
+    if pos >= end:
+        return pos
+    f.seek(start + pos)
+    scratch = memoryview(bytearray(min(end - pos, 1 << 20)))
+    while pos < end:
+        chunk = scratch[:min(len(scratch), end - pos)]
+        _fill(f, chunk)
+        digest.update(chunk)
+        pos += len(chunk)
+    return pos
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,10 @@ dtype. Evaluation takes no adapters; score a LoRA policy through
 `dpo.lora_merge`. The weights carry the fp8 request: given
 `model.fp8_weights(params)`, rounded once by the caller, every call here
 runs in fp8 and rounds no weight again. `perplexity(fp8=True)` rounds
-them itself, once per call.
+them itself, once per call. Perplexity windows and multiple-choice tasks
+are independent graph-free forwards, which `tensor.each` runs one per
+usable CPU at a time; results are folded in input order, so they do not
+depend on the CPU count. Generation runs one token after another.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .data import pack_sequences, read_jsonl, write_jsonl
 from .errors import ConfigError
 from .model import DecodeSession, ModelConfig, ModelParams, branch_layout, forward, fp8_weights
 from .pretrain import batch_loss
-from .tensor import IGNORE_INDEX, no_grad
+from .tensor import IGNORE_INDEX, each, no_grad
 from .tokenizer import Vocab, decode, encode
 
 # few-shot constants: exemplar blocks are "question\nanswer" joined by a
@@ -47,20 +50,22 @@ def perplexity(params: ModelParams, config: ModelConfig, token_docs, seq_len: in
                eos_id: int, *, fp8: bool = False) -> float:
     """exp(mean next-token NLL) over corpus windows packed like training.
 
-    Each window is scored by its own batch_loss call, so the mean over
-    windows is taken in Python floats rather than in the model dtype.
+    Each window is scored by its own batch_loss call, the windows
+    concurrently (`tensor.each`), and the mean over windows is taken in
+    Python floats, in window order, rather than in the model dtype.
     fp8=True is the same as passing `fp8_weights(params)`: one rounding per call.
     """
     if seq_len > config.max_context:
         raise ValueError(f"seq_len {seq_len} exceeds context {config.max_context}")
+    windows = list(pack_sequences(token_docs, seq_len, eos_id))
     total_nll, scored = 0.0, 0
     with no_grad():
         params = fp8_weights(params) if fp8 else params
-        for inputs, targets in pack_sequences(token_docs, seq_len, eos_id):
-            n = int(np.sum(targets != IGNORE_INDEX))
-            loss = batch_loss(params, config, [(inputs, targets)])
-            total_nll += float(loss.item()) * n
-            scored += n
+        losses = each(lambda window: batch_loss(params, config, [window]), windows)
+    for (_, targets), loss in zip(windows, losses):
+        n = int(np.sum(targets != IGNORE_INDEX))
+        total_nll += float(loss.item()) * n
+        scored += n
     if scored == 0:
         raise ValueError("corpus produced no scoreable windows")
     return float(math.exp(total_nll / scored))
@@ -265,12 +270,18 @@ def load_tasks(path) -> tuple[list[MCTask], list[EMTask]]:
 
 def evaluate_tasks(params, config, tasks: Sequence[MCTask], vocab: Vocab, *, k: int = 0,
                    seed: int = 0, logprob_fn=None) -> tuple[list[dict], dict]:
-    """Per-task records plus aggregate accuracies; order-independent."""
-    records = []
-    for task in tasks:
+    """Per-task records plus aggregate accuracies; order-independent.
+
+    The tasks are scored concurrently (`tensor.each`) under `no_grad`, so
+    a `logprob_fn` must be safe to call from several threads.
+    """
+    def score(task: MCTask) -> dict:
         result = mc_score(params, config, task, vocab, k=k, seed=seed, logprob_fn=logprob_fn)
         result["question"] = task.question
-        records.append(result)
+        return result
+
+    with no_grad():
+        records = each(score, tasks)
     if records:
         aggregates = {"acc": float(np.mean([r["acc_correct"] for r in records])),
                       "acc_norm": float(np.mean([r["acc_norm_correct"] for r in records])),

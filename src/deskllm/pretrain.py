@@ -5,7 +5,9 @@ A step is a list of micro-batches: each packed window is one. The
 optimizer step backpropagates each micro-batch's loss, times its 1/n
 share of the batch, before it builds the next, so a step holds one
 window's autograd graph at a time. The gradients it sums are the
-whole batch's bit for bit.
+whole batch's bit for bit. Validation runs without a graph, so its
+windows are scored concurrently, one per usable CPU (`tensor.each`),
+with the same value as one at a time.
 
 The learning-rate schedule is evaluated after counting the current
 batch into tokens_seen, so the first logged lr is peak * batch/warmup
@@ -28,7 +30,7 @@ from .data import DataStage, Document, pack_sequences, sample_mix, stage_index
 from .errors import ConfigError, check, count
 from .model import ModelConfig, ModelParams, forward, fp8_weights
 from .optim import AdamW, LrSchedule, OptimHyper, clip_grad_norm, cosine_lr
-from .tensor import Tensor, add, cross_entropy, mul, no_grad
+from .tensor import Tensor, add, cross_entropy, each, mul, no_grad
 from .tokenizer import Vocab, encode
 
 
@@ -120,10 +122,11 @@ def batch_loss(params: ModelParams, config: ModelConfig, examples) -> Tensor:
     Examples may differ in length, and targets hold IGNORE_INDEX on
     unscored rows. The result is the mean of per-example means; packed
     windows all score seq_len - 1 rows, so for them it is the
-    per-position mean.
+    per-position mean. Under `no_grad` the examples are scored
+    concurrently (`tensor.each`) and summed in input order, so the value
+    is the same as with grad on.
     """
-    losses = [cross_entropy(forward(params, inputs, config), targets)
-              for inputs, targets in examples]
+    losses = each(lambda ex: cross_entropy(forward(params, ex[0], config), ex[1]), examples)
     return mul(reduce(add, losses), 1.0 / len(losses))
 
 

@@ -6,11 +6,16 @@ exactly the kernels a decoder language model needs, each with a
 hand-written backward rule. Gradients land on leaf tensors only;
 intermediate cotangents live in transient buffers during `backward`.
 Under `no_grad` an op result is bare: its array, in its inputs' dtype,
-and no edges; the hot ops return it before building their pulls.
+and no edges; the hot ops return it before building their pulls. The
+grad mode belongs to the thread that sets it. `each` maps graph-free
+units over items, one per usable CPU at a time, with results in input
+order and so independent of the CPU count.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import warnings
 from contextlib import contextmanager
 from typing import Callable, Sequence
@@ -38,24 +43,96 @@ class EmptyLossError(ValueError):
     """A loss was requested over zero scored positions."""
 
 
-_grad_enabled = True
+class _Mode(threading.local):
+    """Per-thread state: each thread starts with grad on, outside `each`."""
+    grad = True
+    in_each = False
+
+
+_mode = _Mode()
+
+
+def __getattr__(name: str):
+    # perfbench's span extras read `_grad_enabled`: it is the calling
+    # thread's mode.
+    if name == "_grad_enabled":
+        return _mode.grad
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def grad_enabled() -> bool:
-    """Whether ops record a backward graph (False inside `no_grad`)."""
-    return _grad_enabled
+    """Whether the calling thread's ops record a backward graph (False
+    inside `no_grad`)."""
+    return _mode.grad
 
 
 @contextmanager
 def no_grad():
-    """Disable graph recording inside the block (forward values only)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable graph recording inside the block (forward values only), for
+    the calling thread alone."""
+    prev = _mode.grad
+    _mode.grad = False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _mode.grad = prev
+
+
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+
+
+def each(fn: Callable, items) -> list:
+    """`[fn(x) for x in items]`; graph-free, the units run concurrently.
+
+    With the calling thread's grad mode off, up to one unit per usable
+    CPU runs at once: the calling thread and helper threads, each under
+    `no_grad`, take the items in input order. Results come back in input
+    order, so a caller that folds them in that order gets the same value
+    as the sequential loop, whatever the CPU count. The first failing
+    unit in input order re-raises its exception, and no unit after it
+    starts once it has failed. Every helper thread is joined before the
+    call returns. With grad on, or inside a unit, it is the plain loop.
+    The units overlap where numpy and BLAS release the interpreter lock;
+    a multi-threaded BLAS shares the same cores.
+    """
+    items = list(items)
+    width = 1 if _mode.grad or _mode.in_each else min(len(items), _usable_cpus())
+    if width < 2:
+        return [fn(x) for x in items]
+    results: list = [None] * len(items)
+    first_failure: list = [len(items), None]  # lowest failing index, its exception
+    lock = threading.Lock()
+    order = iter(range(len(items)))  # shared; next() on it is atomic under the GIL
+
+    def run():
+        _mode.grad, _mode.in_each = False, True
+        for i in order:
+            if i > first_failure[0]:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # re-raised by the calling thread
+                with lock:
+                    if i < first_failure[0]:
+                        first_failure[:] = [i, exc]
+                return
+
+    helpers = [threading.Thread(target=run, name=f"deskllm-each-{k}")
+               for k in range(width - 1)]
+    try:
+        for t in helpers:
+            t.start()
+        run()  # the calling thread's share
+    finally:
+        _mode.in_each = False
+        for t in helpers:
+            if t.ident is not None:
+                t.join()
+    if first_failure[1] is not None:
+        raise first_failure[1]
+    return results
 
 
 def _as_array(data, dtype=None) -> np.ndarray:
@@ -144,7 +221,7 @@ def _make(data: np.ndarray, pairs=()) -> Tensor:
     out.grad = None
     out.requires_grad = False
     out._pairs = []
-    if _grad_enabled:
+    if pairs and _mode.grad:
         kept = [(p, fn) for p, fn in pairs if p.requires_grad]
         if kept:
             out._pairs = kept
@@ -169,7 +246,7 @@ def add(a, b) -> Tensor:
     a = _coerce(a, getattr(b, "dtype", np.float64))
     b = _coerce(b, a.dtype)
     data = a.data + b.data
-    if not _grad_enabled:
+    if not _mode.grad:
         return _make(data)
     return _make(data, [
         (a, lambda g: _sum_to(g, a.shape)),
@@ -181,7 +258,7 @@ def mul(a, b) -> Tensor:
     a = _coerce(a, getattr(b, "dtype", np.float64))
     b = _coerce(b, a.dtype)
     data = a.data * b.data
-    if not _grad_enabled:
+    if not _mode.grad:
         return _make(data)
     return _make(data, [
         (a, lambda g: _sum_to(g * b.data, a.shape)),
@@ -197,7 +274,7 @@ def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x), elementwise."""
     sig = _sigmoid(x.data)
     data = x.data * sig
-    if not _grad_enabled:
+    if not _mode.grad:
         return _make(data)
     return _make(data, [(x, lambda g: g * (sig * (1.0 + x.data * (1.0 - sig))))])
 
@@ -225,7 +302,7 @@ def rotary(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
         return np.concatenate([-a[..., half:], a[..., :half]], axis=-1)
 
     data = x.data * cos + turn(x.data) * sin
-    if not _grad_enabled:
+    if not _mode.grad:
         return _make(data)
     return _make(data, [(x, lambda g: g * cos - turn(g * sin))])
 
@@ -248,7 +325,7 @@ def straight_through(x: Tensor, fn: Callable[[np.ndarray], np.ndarray]) -> Tenso
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     data = a.data.reshape(shape)
-    if not _grad_enabled:
+    if not _mode.grad:
         return _make(data)
     return _make(data, [(a, lambda g: g.reshape(a.shape))])
 
@@ -256,7 +333,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     data = a.data.transpose(axes)
-    if not _grad_enabled:
+    if not _mode.grad:
         return _make(data)
     return _make(data, [(a, lambda g: g.transpose(np.argsort(axes)))])
 
@@ -283,7 +360,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data @ b.data
     except ValueError as exc:
         raise ShapeError(f"matmul batch shapes incompatible: {a.shape} @ {b.shape}") from exc
-    if not _grad_enabled:
+    if not _mode.grad:
         return _make(data)
     return _make(data, [
         (a, lambda g: _sum_to(g @ _swap(b.data), a.shape)),
@@ -300,7 +377,7 @@ def embedding(table: Tensor, ids) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= n_rows):
         raise ValueError(f"token id out of range [0, {n_rows}): min={ids.min()}, max={ids.max()}")
     data = table.data[ids]  # integer-array indexing copies
-    if not _grad_enabled:
+    if not _mode.grad:
         return _make(data)
 
     def pull(g):
@@ -367,7 +444,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor, scale: float) -> Te
     scores += mask.data
     w = _softmax(scores, -1)
     data = w @ v.data
-    if not _grad_enabled:
+    if not _mode.grad:
         return _make(data)
     memo = []
 
@@ -393,7 +470,7 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
     r = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True) / d + eps)
     xn = x.data / r
     data = xn * weight.data
-    if not _grad_enabled:
+    if not _mode.grad:
         return _make(data)
 
     def pull_x(g):
@@ -435,7 +512,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     rows = np.nonzero(scored)[0]
     nll = lse[rows] - z[rows, tv]
     data = np.asarray(nll.mean(), dtype=logits.dtype)
-    if not _grad_enabled:
+    if not _mode.grad:
         return _make(data)
 
     def pull(g):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import sys
 
 import numpy as np
@@ -111,3 +112,8 @@ def weight_roundings(rounded, params: ModelParams) -> dict[str, int]:
     return {name: sum(np.shape(x) == t.shape and np.array_equal(x, t.data) for x in rounded)
             for name, t in params.named_tensors().items()
             if name.startswith("layers.") and "norm" not in name}
+
+
+def use_cpus(monkeypatch, n: int) -> None:
+    """Make `tensor.each` see n usable CPUs for the rest of the test."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)

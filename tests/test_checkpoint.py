@@ -3,6 +3,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,15 @@ class TestIntegrity:
         path = self.saved(tmp_path)
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="checksum"):
+            load_checkpoint(path)
+
+    def test_checksum_checked_before_a_bad_header(self, tmp_path):
+        path = self.saved(tmp_path)
+        _replace_header(path, b"[]")
+        raw = bytearray(path.read_bytes())
+        raw[-40] ^= 0xFF  # a payload byte
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="checksum"):
             load_checkpoint(path)
@@ -323,6 +333,64 @@ class TestBadTensorTable:
         _rewrite_header(path, lambda header: edit(header["tensors"]))
         with pytest.raises(CheckpointError, match=f"bad.dkpt: tensor '{tensor}'"):
             load_checkpoint(path)
+
+    def test_name_not_a_string_rejected(self, tmp_path):
+        cfg, params = tiny_model(seed=13)
+        path = tmp_path / "bad.dkpt"
+        save_model_checkpoint(path, params, cfg)
+        _rewrite_header(path, lambda h: h["tensors"][0].update(name=["token_embedding"]))
+        with pytest.raises(CheckpointError, match="bad.dkpt: tensor .*name must be a string"):
+            load_checkpoint(path)
+
+
+class TestStreamingLoad:
+    """The loader reads each tensor straight into its own array."""
+
+    def tensors(self):
+        rng = np.random.default_rng(15)
+        return {"a": rng.standard_normal((3, 5)), "b": rng.standard_normal(7).astype(np.float32),
+                "c": np.array(1.5), "d": np.zeros((0, 4))}
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t.reverse(),                                     # offsets out of order
+        lambda t: t.pop(1),                                        # a gap in the payload
+        lambda t: t.append(dict(t[0], name="a_again")),            # two entries share bytes
+        lambda t: t.append(dict(t[0], name="a_tail", shape=[2, 5], nbytes=80,
+                                offset=t[0]["offset"] + 40)),      # entries overlap in part
+    ], ids=["out_of_order", "gap", "shared", "overlap"])
+    def test_any_table_layout_loads(self, tmp_path, edit):
+        cfg, _ = tiny_model(seed=15)
+        tensors = self.tensors()
+        path = tmp_path / "layout.dkpt"
+        save_checkpoint(path, cfg, tensors)
+        table = []
+
+        def rewrite(header):
+            edit(header["tensors"])
+            table.extend(e["name"] for e in header["tensors"])
+
+        _rewrite_header(path, rewrite)
+        loaded = load_checkpoint(path).tensors
+        assert list(loaded) == table
+        flat_a = tensors["a"].reshape(-1)
+        want = dict(tensors, a_again=tensors["a"], a_tail=flat_a[5:].reshape(2, 5))
+        for name, arr in loaded.items():
+            assert arr.dtype == want[name].dtype and arr.shape == want[name].shape
+            assert arr.tobytes() == want[name].tobytes()
+
+    def test_peak_memory_holds_the_tensors_once(self, tmp_path):
+        cfg, _ = tiny_model(seed=16)
+        big = np.arange(1 << 20, dtype=np.float64)  # 8 MiB
+        path = tmp_path / "big.dkpt"
+        save_checkpoint(path, cfg, {"big": big})
+        tracemalloc.start()
+        try:
+            out = load_checkpoint(path).tensors["big"]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.tobytes() == big.tobytes()
+        assert peak < 1.25 * big.nbytes
 
 
 class TestInspect:

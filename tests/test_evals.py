@@ -23,7 +23,7 @@ from deskllm.tensor import no_grad
 from deskllm.tokenizer import byte_fallback_vocab, encode
 
 from modelutil import (count_forwards, count_roundings, tiny_config, tiny_model,
-                       weight_roundings)
+                       use_cpus, weight_roundings)
 
 
 def memorizer_model():
@@ -101,6 +101,18 @@ class TestPerplexity:
         cfg, params = tiny_model(seed=4, max_context=16)
         with pytest.raises(ValueError):
             perplexity(params, cfg, [[1] * 100], seq_len=32, eos_id=0)
+
+    @pytest.mark.parametrize("fp8", [False, True], ids=["f32", "fp8"])
+    def test_independent_of_the_cpu_count(self, monkeypatch, fp8):
+        # the windows are scored concurrently, and their losses summed in order
+        cfg, params = tiny_model(seed=6, dtype="f32", vocab_size=32)
+        rng = np.random.default_rng(6)
+        docs = [list(rng.integers(0, 31, size=n)) for n in (30, 11, 25, 7, 19)]
+        ppl = {}
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            ppl[cpus] = perplexity(params, cfg, docs, seq_len=8, eos_id=31, fp8=fp8)
+        assert ppl[1].hex() == ppl[2].hex()
 
 
 class TestMCPick:
@@ -492,6 +504,21 @@ class TestTaskFilesAndReports:
         mc, em = load_tasks(path)
         assert mc == [MCTask(f"q{sep}1", (sep, "b"), 1, ((f"e{sep}q", "ea"),))]
         assert em == [EMTask("q2", (f"an{sep}s",))]
+
+    def test_evaluate_tasks_independent_of_the_cpu_count(self, monkeypatch):
+        cfg, params = tiny_model(seed=24, dtype="f32", vocab_size=259, sliding_window=8)
+        vocab = byte_fallback_vocab()
+        exemplars = (("First q", "ans one"), ("Second q", "two"), ("Third", "3"))
+        tasks = [MCTask(f"Question {i}?", ("yes", "no", "maybe")[:2 + i % 2], gold=i % 2,
+                        exemplars=exemplars) for i in range(5)]
+        runs = {}
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            runs[cpus] = evaluate_tasks(params, cfg, tasks, vocab, k=2, seed=1)
+        assert runs[1] == runs[2]
+        assert [r["question"] for r in runs[2][0]] == [t.question for t in tasks]
+        assert (np.array([lp for r in runs[1][0] for lp in r["logprobs"]]).tobytes()
+                == np.array([lp for r in runs[2][0] for lp in r["logprobs"]]).tobytes())
 
     def test_evaluate_tasks_aggregates_and_order_independence(self):
         lps = {"a": -1.0, "abcd": -2.0, "x": -5.0, "y": -1.0}

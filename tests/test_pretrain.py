@@ -27,7 +27,7 @@ from deskllm.pretrain import (
 from deskllm.tokenizer import byte_fallback_vocab, encode
 from deskllm.tensor import IGNORE_INDEX, Tensor, mul, tsum
 
-from modelutil import count_roundings, tiny_model, weight_roundings
+from modelutil import count_roundings, tiny_model, use_cpus, weight_roundings
 
 VOCAB = byte_fallback_vocab()
 
@@ -276,6 +276,17 @@ class TestRunLoop:
         assert np.isfinite(trainer._val_loss())
         counts = weight_roundings(rounded, params)
         assert len(counts) == 14 and set(counts.values()) == {1}
+
+    def test_val_loss_independent_of_the_cpu_count(self, monkeypatch):
+        # the validation windows are scored concurrently, and summed in order
+        cfg, params = tiny_model(seed=3, dtype="f32", vocab_size=len(VOCAB))
+        trainer, _, _ = make_trainer(params, cfg, val=True, batch_sequences=4, val_batches=1)
+        trainer._enter_stage(0, trainer.plan.stages[0])
+        losses = {}
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            losses[cpus] = trainer._val_loss()
+        assert losses[1].hex() == losses[2].hex()
 
     def test_fp8_step_rounds_each_weight_once_per_window(self, monkeypatch):
         # optimize frees each window's graph, so each window rounds afresh

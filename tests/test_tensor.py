@@ -2,6 +2,9 @@
 central finite differences, and graph bookkeeping."""
 
 import math
+import sys
+import threading
+import time
 import weakref
 
 import numpy as np
@@ -26,6 +29,7 @@ from deskllm.tensor import (
     tsum,
 )
 from fdcheck import check_grad, max_rel_err
+from modelutil import use_cpus
 
 
 def leaf(data, dtype=np.float64):
@@ -421,3 +425,142 @@ class TestDeterminism:
         w = Tensor(np.ones(3, dtype=np.float32))
         for out in (softmax(x, -1), rms_norm(x, w, 1e-5), silu(x), x + x, x * 2.0):
             assert out.dtype == np.float32, out
+
+
+class TestGradModePerThread:
+    def test_no_grad_in_one_thread_leaves_another_alone(self):
+        entered, release, seen = threading.Event(), threading.Event(), {}
+
+        def other():
+            with no_grad():
+                entered.set()
+                release.wait(10)
+            seen["after"] = T.grad_enabled()
+
+        thread = threading.Thread(target=other)
+        thread.start()
+        try:
+            assert entered.wait(10)
+            assert T.grad_enabled() and T._grad_enabled  # not turned off here
+            with no_grad():
+                release.set()
+                thread.join(10)
+                assert not thread.is_alive()
+                assert not T.grad_enabled() and not T._grad_enabled  # not turned back on
+            assert T.grad_enabled()
+            assert seen == {"after": True}
+        finally:
+            release.set()
+            thread.join(10)
+
+
+class TestEach:
+    """`T.each`: the graph-free map over independent units."""
+
+    @staticmethod
+    def run(fn, items, cpus, monkeypatch, grad=False):
+        use_cpus(monkeypatch, cpus)
+        if grad:
+            return T.each(fn, items)
+        with no_grad():
+            return T.each(fn, items)
+
+    def test_results_in_input_order(self, monkeypatch):
+        def unit(x):
+            time.sleep(0.002 * (x % 3))
+            return x * x
+
+        assert self.run(unit, range(12), 2, monkeypatch) == [x * x for x in range(12)]
+
+    def test_graph_free_units_run_at_once_under_no_grad(self, monkeypatch):
+        meet = threading.Barrier(2, timeout=10)  # breaks unless both units run at once
+        seen = []
+
+        def unit(x):
+            meet.wait()
+            seen.append((threading.get_ident(), T.grad_enabled()))
+            return x
+
+        assert self.run(unit, [0, 1], 2, monkeypatch) == [0, 1]
+        assert len({ident for ident, _ in seen}) == 2
+        assert [grad for _, grad in seen] == [False, False]
+        assert T.grad_enabled()
+
+    @pytest.mark.parametrize("cpus, grad", [(1, False), (2, True)], ids=["one_cpu", "grad_on"])
+    def test_plain_loop(self, monkeypatch, cpus, grad):
+        seen = []
+        out = self.run(lambda x: seen.append((threading.get_ident(), T.grad_enabled())) or x,
+                       range(4), cpus, monkeypatch, grad=grad)
+        assert out == [0, 1, 2, 3]
+        assert seen == [(threading.get_ident(), grad)] * 4
+
+    def test_at_most_one_unit_per_cpu_and_per_item(self, monkeypatch):
+        lock, live, peak, threads = threading.Lock(), [0], [0], set()
+
+        def unit(x):
+            with lock:
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+                threads.add(threading.get_ident())
+            time.sleep(0.005)
+            with lock:
+                live[0] -= 1
+            return x
+
+        self.run(unit, range(12), 3, monkeypatch)
+        assert peak[0] <= 3 and len(threads) <= 3
+        threads.clear()
+        self.run(unit, range(2), 8, monkeypatch)
+        assert len(threads) <= 2
+
+    def test_first_failure_in_input_order_propagates(self, monkeypatch):
+        class UnitFailed(Exception):
+            pass
+
+        ran = []
+
+        def unit(x):
+            if x in (3, 6):
+                time.sleep(0.01 if x == 3 else 0.0)
+                raise UnitFailed(x)
+            ran.append(x)
+            return x
+
+        start = threading.active_count()
+        with pytest.raises(UnitFailed) as info:
+            self.run(unit, range(10), 2, monkeypatch)
+        assert info.value.args == (3,)
+        assert threading.active_count() == start
+        assert {0, 1, 2} <= set(ran)
+
+    def test_threads_are_joined(self, monkeypatch):
+        start = threading.active_count()
+        self.run(lambda x: x, range(6), 2, monkeypatch)
+        assert threading.active_count() == start
+
+    def test_each_unit_runs_once_under_contention(self, monkeypatch):
+        # more threads than cores, switching threads as often as possible
+        calls = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = self.run(lambda x: calls.append(x) or -x, range(2000), 8, monkeypatch)
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == [-x for x in range(2000)]
+        assert sorted(calls) == list(range(2000))
+
+    def test_nested_call_runs_inline(self, monkeypatch):
+        def unit(x):
+            outer = threading.get_ident()
+            inner = T.each(lambda y: threading.get_ident(), range(3))
+            return inner == [outer] * 3
+
+        assert self.run(unit, range(4), 2, monkeypatch) == [True] * 4
+
+    def test_cpu_count_when_affinity_is_unknown(self, monkeypatch):
+        monkeypatch.delattr(T.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(T.os, "cpu_count", lambda: None)
+        main = threading.get_ident()
+        with no_grad():
+            assert T.each(lambda x: threading.get_ident(), range(3)) == [main] * 3
