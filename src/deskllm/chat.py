@@ -151,7 +151,8 @@ def run_sft(params: ModelParams, config: ModelConfig,
             plan: SftPlan | None = None, log_path=None) -> list[dict]:
     """Epoch-based SFT over rendered conversations; returns the log records.
 
-    Each step backpropagates its usable examples one at a time.
+    Each step runs its usable examples as `optimize` parts, concurrently,
+    and adds their gradients in example order.
     """
     plan = plan if plan is not None else SftPlan()
     examples = [sft_example(*render_chat(conv, vocab)) for conv in conversations]

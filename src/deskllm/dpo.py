@@ -24,7 +24,7 @@ from .errors import PATH, POSITIVE, ConfigError, check, count, number
 from .model import LoraAdapter, ModelConfig, ModelParams, branch_layout, forward, lora_weights
 from .optim import AdamW, OptimHyper
 from .pretrain import log_step, optimize
-from .tensor import Tensor, add, cross_entropy, embedding, log_sigmoid, mul, neg, no_grad
+from .tensor import Tensor, add, cross_entropy, each, embedding, log_sigmoid, mul, neg, no_grad
 from .tokenizer import Vocab
 
 LORA_INIT_STD = 0.02
@@ -221,11 +221,12 @@ def dpo_train(params: ModelParams, config: ModelConfig, stages: Sequence[DpoStag
               ) -> tuple[dict[str, LoraAdapter], list[dict]]:
     """Train one shared adapter set across the stages; base weights frozen.
 
-    Each step backpropagates its pairs one at a time, so adapter
-    gradients sum per pair rather than per sequence: they match the
-    whole batch's to rounding, not bit for bit. Returns the adapters and
-    the per-step log records. The caller merges with lora_merge when a
-    standalone model is wanted.
+    The reference log-probs are computed once per stage, the pairs
+    scored concurrently (`tensor.each`). Each step runs its pairs as
+    `optimize` parts, so adapter gradients sum per pair, in pair order,
+    rather than per sequence: they match the whole batch's to rounding,
+    not bit for bit. Returns the adapters and the per-step log records.
+    The caller merges with lora_merge when a standalone model is wanted.
     """
     plan = plan if plan is not None else DpoPlan()
     adapters = init_lora_adapters(params, rank=plan.rank, alpha=plan.alpha, seed=plan.seed)
@@ -239,10 +240,13 @@ def dpo_train(params: ModelParams, config: ModelConfig, stages: Sequence[DpoStag
         if not rendered:
             warnings.warn(f"stage {stage_idx} has no pairs", RuntimeWarning)
             continue
+        def ref_logprobs(pair) -> list[float]:
+            prompt_ids, chosen, rejected = pair
+            return [float(lp.item())
+                    for lp in sequence_logprob(base, config, prompt_ids, (chosen, rejected))]
+
         with no_grad():
-            ref_cache = [[float(lp.item()) for lp in
-                          sequence_logprob(base, config, prompt_ids, (chosen, rejected))]
-                         for prompt_ids, chosen, rejected in rendered]
+            ref_cache = each(ref_logprobs, rendered)
 
         def pair_loss(i: int) -> Tensor:
             prompt_ids, chosen, rejected = rendered[i]

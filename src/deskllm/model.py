@@ -385,8 +385,9 @@ def gqa_attention(q: Tensor, k: Tensor, v: Tensor, wo: Tensor, mask: Tensor,
     cache). Each group of n_heads/n_kv_heads query heads shares one KV
     head; scores are scaled by 1/sqrt(head_dim), masked, softmaxed,
     applied to values, and the concatenated heads are projected by wo.
-    The core is one `T.attention` op, so the graph keeps the softmax
-    weights ([n_kv, group, Tq, Tk]) but no score arrays.
+    The core is one `T.attention` op, so the graph keeps q, k, v and the
+    mask but no [n_kv, group, Tq, Tk] array: the op's pull recomputes
+    the softmax weights.
     """
     n_h, n_kv, d = config.n_heads, config.n_kv_heads, config.head_dim
     t_len, t_keys = q.shape[0], k.shape[0]

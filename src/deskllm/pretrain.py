@@ -2,12 +2,13 @@
 pretraining, SFT and DPO share.
 
 A step is a list of micro-batches: each packed window is one. The
-optimizer step backpropagates each micro-batch's loss, times its 1/n
-share of the batch, before it builds the next, so a step holds one
-window's autograd graph at a time. The gradients it sums are the
-whole batch's bit for bit. Validation runs without a graph, so its
-windows are scored concurrently, one per usable CPU (`tensor.each`),
-with the same value as one at a time.
+optimizer step runs them concurrently, one per usable CPU
+(`tensor.each_fold`), each backpropagating its loss, times its 1/n
+share of the batch, into its own gradients; these are added in window
+order, so a step holds one window's autograd graph per unit in flight,
+and the gradients it sums are the whole batch's bit for bit on any CPU
+count. Validation runs without a graph, so its windows are scored
+concurrently too (`tensor.each`), with the same value as one at a time.
 
 The learning-rate schedule is evaluated after counting the current
 batch into tokens_seen, so the first logged lr is peak * batch/warmup
@@ -30,7 +31,8 @@ from .data import DataStage, Document, pack_sequences, sample_mix, stage_index
 from .errors import ConfigError, check, count
 from .model import ModelConfig, ModelParams, forward, fp8_weights
 from .optim import AdamW, LrSchedule, OptimHyper, clip_grad_norm, cosine_lr
-from .tensor import Tensor, add, cross_entropy, each, mul, no_grad
+from .tensor import (Tensor, accumulate, add, backward, cross_entropy, each, each_fold, mul,
+                     no_grad)
 from .tokenizer import Vocab, encode
 
 
@@ -41,27 +43,39 @@ class TrainingDiverged(RuntimeError):
 def optimize(parts: Sequence[Callable[[], Tensor]], opt: AdamW, lr: float) -> float:
     """One optimizer step over the micro-batches `parts`; returns the loss.
 
-    Each part builds one micro-batch's mean loss. Its share, loss * 1/n,
-    is backpropagated before the next part is built, so gradients
-    accumulate while at most one part's graph is alive. The returned
-    value is the dtype sum of the part losses times 1/n, the mean that
-    one graph over the whole batch computes. Then: global-norm clipping
-    to the optimizer's clip_norm, and an AdamW step at `lr`.
+    Each part builds one micro-batch's mean loss, and its share, loss *
+    1/n, is backpropagated into the part's own (leaf, grad) list. The
+    parts run concurrently, one per usable CPU (`tensor.each_fold`), so
+    a step holds one part's graph per unit in flight. Their grads are
+    added into the leaves' `.grad` strictly in part order, ((g0 + g1) +
+    g2) + ..., so the step is the same bit for bit on any CPU count. The
+    returned value is the dtype sum of the part losses times 1/n, the
+    mean that one graph over the whole batch computes. Then: global-norm
+    clipping to the optimizer's clip_norm, and an AdamW step at `lr`.
 
     A non-finite loss, of any part or of the mean, raises
-    TrainingDiverged before any weight, moment or step count changes.
-    Gradients are cleared afterwards in every case, also when clipping
-    finds a non-finite norm, and also the ones earlier parts added
-    before a later part diverged.
+    TrainingDiverged (the first such part in part order) before any
+    weight, moment or step count changes. Gradients are cleared
+    afterwards in every case, also when clipping finds a non-finite
+    norm, and also the ones earlier parts added before a later part
+    diverged.
     """
     share = 1.0 / len(parts)
-    losses = []
+
+    def run(part):
+        loss = part()
+        _check_finite(loss, opt)
+        grads: list = []
+        backward(mul(loss, share), grads)
+        return loss.data, grads
+
+    def fold(result):
+        loss, grads = result
+        accumulate(grads)
+        return Tensor(loss)
+
     try:
-        for part in parts:
-            loss = part()
-            _check_finite(loss, opt)
-            losses.append(Tensor(loss.data))
-            mul(loss, share).backward()
+        losses = each_fold(run, parts, fold)
         mean = _check_finite(mul(reduce(add, losses), share), opt)
         clip_grad_norm(opt.grads(), opt.hyper.clip_norm)
         opt.step(lr)

@@ -5,15 +5,21 @@ backward graph as they are combined. The op set is deliberately small:
 exactly the kernels a decoder language model needs, each with a
 hand-written backward rule. Gradients land on leaf tensors only;
 intermediate cotangents live in transient buffers during `backward`.
-Under `no_grad` an op result is bare: its array, in its inputs' dtype,
-and no edges; the hot ops return it before building their pulls. The
-grad mode belongs to the thread that sets it. `each` maps graph-free
-units over items, one per usable CPU at a time, with results in input
-order and so independent of the CPU count.
+An op result's place in the graph is a data-free node, and each pull
+captures only the arrays it reads, so an intermediate no pull reads is
+freed as soon as the caller drops it; `rms_norm`, `silu` and
+`attention` recompute what they can in their pulls. Under `no_grad` an
+op result is bare: its array, in its inputs' dtype, and no node; the
+hot ops return it before building their pulls. The grad mode belongs
+to the thread that sets it. `each` maps graph-free units over items,
+and `each_fold` units that build graphs, one per usable CPU at a time,
+with results (and folds) in input order and so independent of the CPU
+count.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 import warnings
@@ -87,51 +93,99 @@ def each(fn: Callable, items) -> list:
     """`[fn(x) for x in items]`; graph-free, the units run concurrently.
 
     With the calling thread's grad mode off, up to one unit per usable
-    CPU runs at once: the calling thread and helper threads, each under
-    `no_grad`, take the items in input order. Results come back in input
-    order, so a caller that folds them in that order gets the same value
-    as the sequential loop, whatever the CPU count. The first failing
-    unit in input order re-raises its exception, and no unit after it
-    starts once it has failed. Every helper thread is joined before the
-    call returns. With grad on, or inside a unit, it is the plain loop.
-    The units overlap where numpy and BLAS release the interpreter lock;
-    a multi-threaded BLAS shares the same cores.
+    CPU runs at once (see `_ordered`), each under `no_grad`. Results come
+    back in input order, so a caller that folds them in that order gets
+    the same value as the sequential loop, whatever the CPU count. With
+    grad on, or inside a unit, it is the plain loop.
     """
     items = list(items)
     width = 1 if _mode.grad or _mode.in_each else min(len(items), _usable_cpus())
+    return _ordered(fn, items, width)
+
+
+def each_fold(fn: Callable, items, fold: Callable) -> list:
+    """`[fold(fn(x)) for x in items]`, for units that build graphs.
+
+    Up to one `fn` call per usable CPU runs at once, in the caller's grad
+    mode (see `_ordered`); the `fold` calls run one at a time in input
+    order, so what they add up is the same whatever the CPU count. A
+    unit takes its next item only after its fold, so no more than one
+    unit per CPU is in flight, and the unit after the first `width` ones
+    starts only after the first fold. Inside a unit it is the plain loop.
+    """
+    items = list(items)
+    width = 1 if _mode.in_each else min(len(items), _usable_cpus())
+    return _ordered(fn, items, width, fold)
+
+
+def _ordered(fn: Callable, items: list, width: int, fold: Callable | None = None) -> list:
+    """The loop behind `each` and `each_fold`: `width` threads, the calling
+    one and helpers, each in a copy of the caller's context and grad mode,
+    take the items in input order. The first `width` units, one per
+    thread, begin together, and a unit's fold waits until every unit
+    before it has folded. The first failing unit in input order re-raises
+    its exception, and no unit after it starts or folds once it has
+    failed. Every helper thread is joined before the call returns. The
+    units overlap where numpy and BLAS release the interpreter lock; a
+    multi-threaded BLAS shares the same cores.
+    """
     if width < 2:
-        return [fn(x) for x in items]
-    results: list = [None] * len(items)
-    first_failure: list = [len(items), None]  # lowest failing index, its exception
-    lock = threading.Lock()
-    order = iter(range(len(items)))  # shared; next() on it is atomic under the GIL
+        return [fn(x) if fold is None else fold(fn(x)) for x in items]
+    n = len(items)
+    results: list = [None] * n
+    failed: list = [n, None]  # lowest failing index, its exception
+    taken, folded = [0], [0]  # first units taken; units before this index have folded
+    turn = threading.Condition()
+    order = iter(range(n))  # shared; next() on it is atomic under the GIL
+    grad = _mode.grad
 
     def run():
-        _mode.grad, _mode.in_each = False, True
+        _mode.grad, _mode.in_each = grad, True
         for i in order:
-            if i > first_failure[0]:
-                return
             try:
-                results[i] = fn(items[i])
+                with turn:
+                    if i < width:  # one per thread: the first units begin together
+                        taken[0] += 1
+                        turn.notify_all()
+                        turn.wait_for(lambda: taken[0] == width or failed[0] < n)
+                    if i > failed[0]:
+                        return
+                out = fn(items[i])
+                if fold is not None:
+                    with turn:
+                        turn.wait_for(lambda: folded[0] == i or failed[0] < i)
+                        if failed[0] < i:
+                            return
+                        out = fold(out)
+                        folded[0] += 1
+                        turn.notify_all()
+                results[i] = out
             except BaseException as exc:  # re-raised by the calling thread
-                with lock:
-                    if i < first_failure[0]:
-                        first_failure[:] = [i, exc]
+                with turn:
+                    if i < failed[0]:
+                        failed[:] = [i, exc]
+                    turn.notify_all()
                 return
 
-    helpers = [threading.Thread(target=run, name=f"deskllm-each-{k}")
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(run,),
+                                name=f"deskllm-each-{k}")
                for k in range(width - 1)]
     try:
         for t in helpers:
             t.start()
         run()  # the calling thread's share
+    except BaseException as exc:  # a helper could not start: release the others
+        with turn:
+            failed[:] = [-1, exc]
+            turn.notify_all()
+        raise
     finally:
-        _mode.in_each = False
+        _mode.grad, _mode.in_each = grad, False
         for t in helpers:
             if t.ident is not None:
                 t.join()
-    if first_failure[1] is not None:
-        raise first_failure[1]
+    if failed[1] is not None:
+        raise failed[1]
     return results
 
 
@@ -142,22 +196,42 @@ def _as_array(data, dtype=None) -> np.ndarray:
     return arr
 
 
-class Tensor:
-    """N-dimensional array with an optional gradient and backward record.
+class _Node:
+    """An op result's place in the graph, without its values.
 
-    `_pairs` holds (parent, pull) edges where `pull` maps this node's
-    cotangent to the parent's contribution. Leaves (no pairs) accumulate
-    into `.grad`; anything else is internal to `backward`, which sets an
-    op result's `_pairs` to None once it has run its pulls.
+    `edges` holds (parent, pull) pairs: parent is an op result's node or
+    a leaf tensor, and pull maps this node's cotangent to the parent's
+    contribution. A pull captures only the arrays it reads, so an op
+    result's values are freed once the caller drops the tensor, unless a
+    pull reads them. `backward` sets `edges` to None once it has run them.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_pairs", "__weakref__")
+    __slots__ = ("edges", "__weakref__")
+
+    def __init__(self, edges: list):
+        self.edges: list[tuple[_Node | Tensor, Callable[[np.ndarray], np.ndarray]]] | None = edges
+
+
+class Tensor:
+    """N-dimensional array with an optional gradient and graph node.
+
+    An op result that needs a gradient has a `_Node`; a leaf has none
+    and, when it requires grad, accumulates into `.grad`.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _as_array(data, dtype)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
-        self._pairs: list[tuple[Tensor, Callable[[np.ndarray], np.ndarray]]] | None = []
+        self._node: _Node | None = None
+
+    @property
+    def _pairs(self) -> list | None:
+        """The node's edges: [] for a leaf or a bare result, None once
+        backpropagated."""
+        return [] if self._node is None else self._node.edges
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -210,21 +284,23 @@ def _coerce(x, dtype) -> Tensor:
 
 
 def _make(data: np.ndarray, pairs=()) -> Tensor:
-    """Build an op result, keeping only edges to grad-needing parents.
+    """Build an op result, with a node holding edges to grad-needing parents.
 
     `data` is already an array of the op's dtype, or a numpy scalar from
-    an op on 0-d arrays, which is wrapped. With grad off no edges are kept,
-    so the hot ops call `_make(data)` before building their pulls.
+    an op on 0-d arrays, which is wrapped. `pairs` are (parent tensor,
+    pull); a pull must not capture a parent tensor, only the arrays it
+    reads. With grad off no node is made, so the hot ops call
+    `_make(data)` before building their pulls.
     """
     out = Tensor.__new__(Tensor)
     out.data = data if type(data) is np.ndarray else np.asarray(data)
     out.grad = None
     out.requires_grad = False
-    out._pairs = []
+    out._node = None
     if pairs and _mode.grad:
-        kept = [(p, fn) for p, fn in pairs if p.requires_grad]
+        kept = [(p if p._node is None else p._node, fn) for p, fn in pairs if p.requires_grad]
         if kept:
-            out._pairs = kept
+            out._node = _Node(kept)
             out.requires_grad = True
     return out
 
@@ -241,6 +317,9 @@ def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # elementwise ops
+#
+# Pulls close over arrays, shapes and constants, never over a Tensor: a
+# captured Tensor would keep its values alive for as long as the graph.
 
 def add(a, b) -> Tensor:
     a = _coerce(a, getattr(b, "dtype", np.float64))
@@ -248,9 +327,10 @@ def add(a, b) -> Tensor:
     data = a.data + b.data
     if not _mode.grad:
         return _make(data)
+    sa, sb = a.shape, b.shape
     return _make(data, [
-        (a, lambda g: _sum_to(g, a.shape)),
-        (b, lambda g: _sum_to(g, b.shape)),
+        (a, lambda g: _sum_to(g, sa)),
+        (b, lambda g: _sum_to(g, sb)),
     ])
 
 
@@ -260,9 +340,10 @@ def mul(a, b) -> Tensor:
     data = a.data * b.data
     if not _mode.grad:
         return _make(data)
+    xa, xb = a.data, b.data
     return _make(data, [
-        (a, lambda g: _sum_to(g * b.data, a.shape)),
-        (b, lambda g: _sum_to(g * a.data, b.shape)),
+        (a, lambda g: _sum_to(g * xb, xa.shape)),
+        (b, lambda g: _sum_to(g * xa, xb.shape)),
     ])
 
 
@@ -271,12 +352,17 @@ def neg(a: Tensor) -> Tensor:
 
 
 def silu(x: Tensor) -> Tensor:
-    """x * sigmoid(x), elementwise."""
-    sig = _sigmoid(x.data)
-    data = x.data * sig
+    """x * sigmoid(x), elementwise; the pull recomputes the sigmoid."""
+    xd = x.data
+    data = xd * _sigmoid(xd)
     if not _mode.grad:
         return _make(data)
-    return _make(data, [(x, lambda g: g * (sig * (1.0 + x.data * (1.0 - sig))))])
+
+    def pull(g):
+        sig = _sigmoid(xd)
+        return g * (sig * (1.0 + xd * (1.0 - sig)))
+
+    return _make(data, [(x, pull)])
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -286,8 +372,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def log_sigmoid(x: Tensor) -> Tensor:
     """Numerically stable log(sigmoid(x))."""
-    data = np.minimum(x.data, 0) - np.log1p(np.exp(-np.abs(x.data)))
-    return _make(data, [(x, lambda g: g * _sigmoid(-x.data))])
+    xd = x.data
+    data = np.minimum(xd, 0) - np.log1p(np.exp(-np.abs(xd)))
+    return _make(data, [(x, lambda g: g * _sigmoid(-xd))])
 
 
 def rotary(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
@@ -327,7 +414,8 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     data = a.data.reshape(shape)
     if not _mode.grad:
         return _make(data)
-    return _make(data, [(a, lambda g: g.reshape(a.shape))])
+    sa = a.shape
+    return _make(data, [(a, lambda g: g.reshape(sa))])
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -362,9 +450,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul batch shapes incompatible: {a.shape} @ {b.shape}") from exc
     if not _mode.grad:
         return _make(data)
+    xa, xb = a.data, b.data
     return _make(data, [
-        (a, lambda g: _sum_to(g @ _swap(b.data), a.shape)),
-        (b, lambda g: _sum_to(_swap(a.data) @ g, b.shape)),
+        (a, lambda g: _sum_to(g @ _swap(xb), xa.shape)),
+        (b, lambda g: _sum_to(_swap(xa) @ g, xb.shape)),
     ])
 
 
@@ -379,9 +468,10 @@ def embedding(table: Tensor, ids) -> Tensor:
     data = table.data[ids]  # integer-array indexing copies
     if not _mode.grad:
         return _make(data)
+    shape = table.shape
 
     def pull(g):
-        full = np.zeros(table.shape, dtype=g.dtype)
+        full = np.zeros(shape, dtype=g.dtype)
         np.add.at(full, ids, g)
         return full
 
@@ -394,11 +484,13 @@ def embedding(table: Tensor, ids) -> Tensor:
 def tsum(x: Tensor) -> Tensor:
     """Sum of all elements (scalar tensor)."""
     data = np.asarray(x.data.sum(), dtype=x.dtype)
-    return _make(data, [(x, lambda g: np.broadcast_to(g, x.shape).astype(x.dtype, copy=True))])
+    shape, dtype = x.shape, x.dtype
+    return _make(data, [(x, lambda g: np.broadcast_to(g, shape).astype(dtype, copy=True))])
 
 
-def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
-    """Softmax along axis, computed in x's own buffer: x must be scratch."""
+def _softmax(x: np.ndarray, axis: int, warn: bool = True) -> np.ndarray:
+    """Softmax along axis, computed in x's own buffer: x must be scratch.
+    A fully masked slice gives zeros, with a warning when `warn` is set."""
     m = x.max(axis=axis, keepdims=True)
     masked = m <= MASK_NEG[x.dtype]  # also true for -inf
     with np.errstate(invalid="ignore"):
@@ -406,7 +498,8 @@ def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
         s = np.exp(x, out=x)
         s /= s.sum(axis=axis, keepdims=True)
     if masked.any():
-        warnings.warn("softmax over fully masked slice; returning zeros", RuntimeWarning)
+        if warn:
+            warnings.warn("softmax over fully masked slice; returning zeros", RuntimeWarning)
         s = np.where(masked, 0.0, s).astype(x.dtype)
     return s
 
@@ -429,57 +522,67 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _make(s, [(x, lambda g: _softmax_pull(s, g, axis))])
 
 
+def _attention_weights(q: np.ndarray, k: np.ndarray, mask: np.ndarray, scale: np.ndarray,
+                       warn: bool = True) -> np.ndarray:
+    scores = q @ _swap(k)
+    scores *= scale
+    scores += mask
+    return _softmax(scores, -1, warn)
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: Tensor, scale: float) -> Tensor:
     """softmax(q @ k^T * scale + mask) @ v over the last two axes, as one op.
 
     q is [..., Tq, d]; k and v are [..., Tk, d] and broadcast against q's
     leading axes; mask is a constant [Tq, Tk] additive mask (see
-    `softmax` for fully masked rows). The graph keeps q, k, v and the
-    softmax weights, not the score arrays. Values and gradients equal,
-    bit for bit, those of the matmul, mul, add, softmax, matmul chain.
+    `softmax` for fully masked rows, which warn once per forward). The
+    graph keeps q, k, v and the mask, no [Tq, Tk] array: the pull
+    recomputes the softmax weights with the forward's own op sequence,
+    as FlashAttention and gradient checkpointing do. Values and
+    gradients equal, bit for bit, those of the matmul, mul, add,
+    softmax, matmul chain.
     """
     scale = np.asarray(scale, dtype=q.dtype)
-    scores = q.data @ _swap(k.data)
-    scores *= scale
-    scores += mask.data
-    w = _softmax(scores, -1)
-    data = w @ v.data
+    qd, kd, vd, md = q.data, k.data, v.data, mask.data
+    data = _attention_weights(qd, kd, md, scale) @ vd
     if not _mode.grad:
         return _make(data)
-    memo = []
+    memo = []  # [weights, d_scores], made by the first pull, shared by the others
 
-    def d_scores(g):  # shared by the q and k pulls
+    def recompute(g):
         if not memo:
-            memo.append(_softmax_pull(w, g @ _swap(v.data), -1) * scale)
-        return memo[0]
+            w = _attention_weights(qd, kd, md, scale, warn=False)
+            memo.extend((w, _softmax_pull(w, g @ _swap(vd), -1) * scale))
+        return memo
 
     return _make(data, [
-        (q, lambda g: _sum_to(d_scores(g) @ k.data, q.shape)),
-        (k, lambda g: _swap(_sum_to(_swap(q.data) @ d_scores(g), _swap(k.data).shape))),
-        (v, lambda g: _sum_to(_swap(w) @ g, v.shape)),
+        (q, lambda g: _sum_to(recompute(g)[1] @ kd, qd.shape)),
+        (k, lambda g: _swap(_sum_to(_swap(qd) @ recompute(g)[1], _swap(kd).shape))),
+        (v, lambda g: _sum_to(_swap(recompute(g)[0]) @ g, vd.shape)),
     ])
 
 
 def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
-    """y = x / sqrt(mean(x^2) + eps) * weight, mean over the last axis."""
+    """y = x / sqrt(mean(x^2) + eps) * weight, mean over the last axis.
+    The pulls keep x and the [..., 1] root, and recompute x / r."""
     d = x.shape[-1]
     if weight.data.ndim != 1 or weight.shape[0] != d:
         raise ShapeError(f"rms_norm weight shape {weight.shape} does not match last extent {d}")
     if eps < 0:
         raise ValueError(f"rms_norm eps must be >= 0, got {eps}")
-    r = np.sqrt((x.data * x.data).sum(axis=-1, keepdims=True) / d + eps)
-    xn = x.data / r
-    data = xn * weight.data
+    xd, wd = x.data, weight.data
+    r = np.sqrt((xd * xd).sum(axis=-1, keepdims=True) / d + eps)
+    data = xd / r * wd
     if not _mode.grad:
         return _make(data)
 
     def pull_x(g):
-        gw = g * weight.data
-        inner = (gw * x.data).sum(axis=-1, keepdims=True)
-        return gw / r - x.data * inner / (d * r**3)
+        gw = g * wd
+        inner = (gw * xd).sum(axis=-1, keepdims=True)
+        return gw / r - xd * inner / (d * r**3)
 
     def pull_w(g):
-        gw = g * xn
+        gw = g * (xd / r)
         return gw.reshape(-1, d).sum(axis=0)
 
     return _make(data, [(x, pull_x), (weight, pull_w)])
@@ -530,21 +633,25 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 # ---------------------------------------------------------------------------
 # backward
 
-def backward(loss: Tensor) -> None:
-    """Populate `.grad` on every reachable leaf with d(loss)/d(leaf).
+def backward(loss: Tensor, into: list | None = None) -> None:
+    """d(loss)/d(leaf) for every reachable leaf that requires grad.
 
-    Repeated calls accumulate into existing gradients. `loss` must be a
-    scalar (one element). Each op result drops its edges, and with them
-    the arrays its pulls hold, as soon as its pulls have run, so a graph
-    can be backpropagated once: a later backward that reaches one of its
-    op results raises RuntimeError.
+    `loss` must be a scalar (one element). The gradients are added into
+    the leaves' `.grad`, so repeated calls accumulate; given `into`, they
+    are appended to it as (leaf, grad) pairs instead, for `accumulate`
+    to add later. Each node drops its edges, and with them the arrays its
+    pulls hold, as soon as its pulls have run, so a graph can be
+    backpropagated once: a later backward that reaches one of its op
+    results raises RuntimeError.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
+    grads = [] if into is None else into
+    root = loss if loss._node is None else loss._node
 
-    order: list[Tensor] = []
+    order: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -552,30 +659,41 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
-        if node._pairs is None:
+        edges = node.edges if type(node) is _Node else []
+        if edges is None:
             raise RuntimeError("backward through a graph that was already backpropagated")
         seen.add(id(node))
         stack.append((node, True))
-        for parent, _ in node._pairs:
+        for parent, _ in edges:
             stack.append((parent, False))
 
-    cotangent: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    owners: set[int] = set()  # buffers leaf grads hold; clipping scales grads in place
+    cotangent: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     while order:
         node = order.pop()
         g = cotangent.pop(id(node))  # every node in order lies on a path to loss
-        if not node._pairs:
+        if type(node) is not _Node:
             if node.requires_grad:
-                g = np.asarray(g if node.grad is None else node.grad + g)
-                owner = id(g if g.base is None else g.base)
-                node.grad = g.copy() if owner in owners else g
-                owners.add(owner)
+                grads.append((node, g))
             continue
-        pairs, node._pairs = node._pairs, None
-        for parent, pull in pairs:
+        edges, node.edges = node.edges, None
+        for parent, pull in edges:
             contrib = pull(g)
             key = id(parent)
             if key in cotangent:
                 cotangent[key] = cotangent[key] + contrib
             else:
                 cotangent[key] = contrib
+    if into is None:
+        accumulate(grads)
+
+
+def accumulate(grads) -> None:
+    """Add (leaf, grad) pairs, as `backward(loss, into)` collects them,
+    into the leaves' `.grad`, in order. No two leaves' grads share a
+    buffer, since clipping scales grads in place."""
+    owners: set[int] = set()
+    for leaf, g in grads:
+        g = np.asarray(g if leaf.grad is None else leaf.grad + g)
+        owner = id(g if g.base is None else g.base)
+        leaf.grad = g.copy() if owner in owners else g
+        owners.add(owner)

@@ -14,7 +14,7 @@ from deskllm.pretrain import TrainingDiverged, batch_grads
 from deskllm.tensor import IGNORE_INDEX, cross_entropy, no_grad
 from deskllm.tokenizer import byte_fallback_vocab, encode
 
-from modelutil import tiny_model
+from modelutil import tiny_model, use_cpus
 from test_pretrain import StepGrads, capture_step_grads
 
 CHAT_VOCAB = chat_vocab()
@@ -313,6 +313,22 @@ class TestRunSft:
             run_sft(params, cfg, convs, CHAT_VOCAB, plan)
         assert len(grads) == len(whole)
         for got, want in zip(grads, whole.values()):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_example_grads_independent_of_the_cpu_count(self, monkeypatch, dtype):
+        cfg, params = tiny_model(seed=18, dtype=dtype, vocab_size=len(CHAT_VOCAB),
+                                 max_context=64)
+        convs = training_conversations()[:6]
+        plan = SftPlan(lr=1e-3, batch_size=len(convs), epochs=1, seed=2)
+        grads = {}
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            grads[cpus] = capture_step_grads(monkeypatch)
+            with pytest.raises(StepGrads):
+                run_sft(params, cfg, convs, CHAT_VOCAB, plan)
+        assert len(grads[1]) == len(params.named_tensors())
+        for got, want in zip(grads[2], grads[1]):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_lr_follows_cosine_schedule(self):

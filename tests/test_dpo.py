@@ -21,7 +21,7 @@ from deskllm.pretrain import TrainingDiverged, batch_loss
 from deskllm.tensor import Tensor, add, mul, no_grad
 from deskllm.tokenizer import byte_fallback_vocab, encode
 
-from modelutil import count_forwards, tiny_model
+from modelutil import count_forwards, tiny_model, use_cpus
 from test_pretrain import StepGrads, capture_step_grads
 
 CHAT_VOCAB = chat_vocab()
@@ -569,6 +569,47 @@ class TestDpoTrain:
             scale = np.max(np.abs(want))
             assert scale > 0
             assert np.max(np.abs(got - want)) <= rel * scale
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_pair_grads_independent_of_the_cpu_count(self, monkeypatch, dtype):
+        cfg, params = tiny_model(seed=32, dtype=dtype, vocab_size=len(CHAT_VOCAB),
+                                 max_context=64)
+        pairs = toy_pairs() + (PreferencePair(prompt("ef"), "left", "right"),
+                               PreferencePair(prompt("gh"), "hot", "cold"))
+        plan = DpoPlan(seed=9, batch_size=len(pairs))
+        grads = {}
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            grads[cpus] = capture_step_grads(monkeypatch)
+            with pytest.raises(StepGrads):
+                dpo_train(params, cfg, [DpoStage(pairs, lr=1e-3)], CHAT_VOCAB, plan)
+        assert len(grads[1]) == 2 * 7 * cfg.n_layers
+        for got, want in zip(grads[2], grads[1]):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_reference_logprobs_independent_of_the_cpu_count(self, monkeypatch):
+        # the reference pass scores the pairs concurrently, in order
+        cfg, params = tiny_model(seed=33, dtype="f32", vocab_size=len(CHAT_VOCAB),
+                                 max_context=64)
+        pairs = toy_pairs() + (PreferencePair(prompt("ef"), "left", "right"),)
+        real_each = dpo_module.each
+        refs = {}
+
+        def spy(fn, items):
+            refs[cpus] = real_each(fn, items)
+            return refs[cpus]
+
+        monkeypatch.setattr(dpo_module, "each", spy)
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            dpo_train(params, cfg, [DpoStage(pairs, lr=1e-3)], CHAT_VOCAB, DpoPlan(seed=5))
+        assert len(refs[1]) == len(pairs) and all(len(ref) == 2 for ref in refs[1])
+        assert [[lp.hex() for lp in ref] for ref in refs[2]] == \
+            [[lp.hex() for lp in ref] for ref in refs[1]]
+        p_ids, chosen, rejected = render_pair(pairs[0], CHAT_VOCAB)
+        with no_grad():
+            first = sequence_logprob(params, cfg, p_ids, (chosen, rejected))
+        assert refs[2][0] == [float(lp.item()) for lp in first]
 
     @pytest.mark.parametrize("epochs", [1, 2])
     def test_one_forward_per_pair_and_pass(self, monkeypatch, epochs):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from deskllm.model import (
     rope_rotate,
     segment_positions,
 )
+from deskllm.dpo import init_lora_adapters
 from deskllm.pretrain import batch_loss
 from deskllm.tensor import ShapeError, Tensor, cross_entropy, no_grad
 
@@ -380,6 +382,23 @@ class TestGqaAttention:
         assert out.requires_grad
         assert retained < 1.5 * weights_nbytes
 
+    def test_graph_keeps_no_weights_array(self):
+        # The pull recomputes the softmax weights: the graph keeps q, k
+        # and v, each of q's size or less, and the projected heads.
+        cfg = tiny_config(hidden_size=64, n_heads=8, n_kv_heads=2, max_context=256)
+        t_len = 256
+        q, k, v, wo = (Tensor(a, requires_grad=True) for a in self._inputs(cfg, t_len, seed=6))
+        mask = attention_mask(t_len, 128, "f64")
+        weights_nbytes = cfg.n_heads * t_len * t_len * 8
+        tracemalloc.start()
+        try:
+            out = gqa_attention(q, k, v, wo, mask, cfg)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert retained < 0.5 * weights_nbytes
+
 
 class TestDecoderBlock:
     def test_zero_weights_identity(self):
@@ -463,6 +482,60 @@ class TestForward:
         assert np.array_equal(a[:s], b[:s])
         assert all(not np.array_equal(a[row], b[row]) for row in range(s, reach + 1))
         assert np.array_equal(a[reach + 1:], b[reach + 1:])
+
+    def test_graph_frees_what_no_pull_reads(self, monkeypatch):
+        # While the graph lives, the rope inputs (q and k before rope) and
+        # the attention outputs are freed as the forward moves on.
+        cfg, params = tiny_model(seed=5)
+        freed = []
+        real_rotary, real_attention = T.rotary, T.attention
+
+        def rotary(x, cos, sin):  # x is a view of its projection's result
+            freed.append(weakref.ref(x.data.base))
+            return real_rotary(x, cos, sin)
+
+        def attention(*args):
+            out = real_attention(*args)
+            freed.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(T, "rotary", rotary)
+        monkeypatch.setattr(T, "attention", attention)
+        logits = forward(params, [3, 1, 4, 1, 5, 9], cfg)
+        assert len(freed) == 3 * cfg.n_layers
+        assert all(ref() is None for ref in freed)
+        cross_entropy(logits, [1, 4, 1, 5, 9, 2]).backward()
+        assert all(t.grad is not None for t in params.named_tensors().values())
+
+    @pytest.mark.parametrize("fp8", [False, True])
+    def test_no_pull_captures_a_tensor(self, fp8):
+        # A captured Tensor would keep its values alive with the graph.
+        cfg, params = tiny_model(seed=5, sliding_window=3)
+        adapters = None if fp8 else init_lora_adapters(params, rank=2, seed=1)
+        logits = forward(fp8_weights(params) if fp8 else params, [3, 1, 4, 1, 5],
+                         cfg, adapters=adapters)
+        loss = cross_entropy(logits, [1, 4, 1, 5, 9])
+
+        def captured(fn, seen):
+            for cell in fn.__closure__ or ():
+                value = cell.cell_contents
+                if callable(value) and hasattr(value, "__closure__") and id(value) not in seen:
+                    seen.add(id(value))
+                    yield from captured(value, seen)
+                else:
+                    yield value
+
+        nodes, stack, pulls = set(), [loss._node], 0
+        while stack:
+            node = stack.pop()
+            if id(node) in nodes or not isinstance(node, T._Node):
+                continue
+            nodes.add(id(node))
+            for parent, pull in node.edges:
+                pulls += 1
+                assert not any(isinstance(v, Tensor) for v in captured(pull, set()))
+                stack.append(parent)
+        assert pulls > 100
 
     def test_straight_line_oracle(self):
         cfg, params = tiny_model(seed=2, sliding_window=3)

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import gc
 import json
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -116,6 +120,7 @@ class TestTrainStep:
             assert not trainer.opt.m[name].any() and not trainer.opt.v[name].any()
 
     def test_nonfinite_third_window_leaves_the_step_undone(self, monkeypatch):
+        use_cpus(monkeypatch, 1)  # one window at a time
         trainer, cfg, params = make_trainer()
         batch = fixed_batch(cfg, n=4)
         trainer.train_step(batch, seq_len=8)  # nonzero moments to compare against
@@ -144,6 +149,47 @@ class TestTrainStep:
             assert opt.v[name].tobytes() == v.tobytes()
             assert t.grad is None
 
+    def test_nonfinite_third_window_on_two_cpus(self, monkeypatch):
+        # Windows 0 and 1 are built at once, before any grad lands; a later
+        # window is built only after window 0's grads landed.
+        use_cpus(monkeypatch, 2)
+        real_batch_loss = pretrain_module.batch_loss
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                trainer, cfg, params = make_trainer()
+                batch = fixed_batch(cfg, n=4)
+                trainer.train_step(batch, seq_len=8)
+                named = params.named_tensors()
+                opt = trainer.opt
+                before = {n: (t.data.copy(), opt.m[n].copy(), opt.v[n].copy())
+                          for n, t in named.items()}
+                built = {}
+
+                def third_window_diverges(params, config, examples):
+                    (window,) = examples
+                    i = next(k for k, w in enumerate(batch) if w is window)
+                    built[i] = all(t.grad is not None for t in named.values())
+                    loss = real_batch_loss(params, config, examples)
+                    return mul(loss, np.nan) if i == 2 else loss
+
+                monkeypatch.setattr(pretrain_module, "batch_loss", third_window_diverges)
+                with pytest.raises(TrainingDiverged, match="step 1: loss is nan"):
+                    trainer.train_step(batch, seq_len=8)
+                monkeypatch.setattr(pretrain_module, "batch_loss", real_batch_loss)
+                assert built[0] is False and built[1] is False
+                assert built[2] is True and built.get(3, True) is True
+                assert (trainer.step, trainer.tokens_seen, opt.step_count) == (1, 32, 1)
+                for name, t in named.items():
+                    data, m, v = before[name]
+                    assert t.data.tobytes() == data.tobytes()
+                    assert opt.m[name].tobytes() == m.tobytes()
+                    assert opt.v[name].tobytes() == v.tobytes()
+                    assert t.grad is None
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_fp8_step_runs_and_is_finite(self):
         trainer, cfg, _ = make_trainer(fp8=True)
         batch = fixed_batch(cfg)
@@ -169,6 +215,72 @@ class TestOptimize:
             optimize([lambda: tsum(mul(p, np.inf))], opt, lr=0.1)
         assert p.grad is None and opt.step_count == 0 and p.data[0] == 2.0
         assert opt.m["p"][0] == 0.0 and opt.v["p"][0] == 0.0
+
+    def test_parts_run_concurrently_each_once(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        p, opt = self.scalar_param(2.0)
+        meet = threading.Barrier(2, timeout=10)  # breaks unless parts 0 and 1 run at once
+        built = []
+
+        def part(i):
+            built.append(i)
+            if i < 2:
+                meet.wait()
+            return tsum(mul(p, float(i + 1)))
+
+        start = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            loss = optimize([partial(part, i) for i in range(8)], opt, lr=0.1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(built) == list(range(8))
+        assert loss == 2.0 * 36 / 8 and opt.step_count == 1 and p.grad is None
+        assert threading.active_count() == start
+
+    def test_folds_in_part_order_under_contention(self, monkeypatch):
+        # more threads than cores, switching as often as possible: a fold
+        # out of order, or a lost one, moves the rounded sum of the grads
+        coeffs = np.random.default_rng(13).normal(size=(64, 3)) * 10.0 ** np.arange(-4, 5, 3)
+        grads = {}
+        for cpus in (1, 8):
+            use_cpus(monkeypatch, cpus)
+            p = Tensor(np.zeros(3), requires_grad=True)
+            opt = AdamW({"p": p}, OptimHyper(weight_decay=0.0))
+            grads[cpus] = capture_step_grads(monkeypatch)
+            parts = [partial(lambda c: tsum(mul(p, c)), c) for c in coeffs]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with pytest.raises(StepGrads):
+                    optimize(parts, opt, lr=0.1)
+            finally:
+                sys.setswitchinterval(interval)
+        want = np.zeros(3)
+        for c in coeffs:  # ((g0 + g1) + g2) + ...
+            want = want + c * (1.0 / len(coeffs))
+        assert grads[8][0].tobytes() == grads[1][0].tobytes() == want.tobytes()
+
+    def test_first_nonfinite_part_in_order_diverges(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        p, opt = self.scalar_param(2.0)
+        optimize([lambda: tsum(mul(p, 3.0))], opt, lr=0.1)  # nonzero moments
+        before = (p.data.copy(), opt.m["p"].copy(), opt.v["p"].copy())
+
+        def part(i):
+            if i == 1:  # fails after part 2, which fails at once
+                time.sleep(0.02)
+                return tsum(mul(p, np.inf))
+            return tsum(mul(p, np.nan if i == 2 else 1.0))
+
+        start = threading.active_count()
+        with pytest.raises(TrainingDiverged, match="step 1: loss is inf"):
+            optimize([partial(part, i) for i in range(6)], opt, lr=0.1)
+        assert threading.active_count() == start
+        assert opt.step_count == 1 and p.grad is None
+        for got, want in zip((p.data, opt.m["p"], opt.v["p"]), before):
+            assert got.tobytes() == want.tobytes()
 
     def test_nonfinite_gradient_norm_clears_grads(self):
         p, opt = self.scalar_param(1.0)
@@ -208,10 +320,11 @@ class TestAccumulation:
         for got, want in zip(grads, whole.values()):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
-    def test_step_memory_does_not_grow_with_the_batch(self):
+    def test_step_memory_does_not_grow_with_the_batch(self, monkeypatch):
         # Each window's graph is freed before the next is built, so a
         # 4-window step peaks near a 1-window one; one graph over the
         # whole batch would peak at about 3x.
+        use_cpus(monkeypatch, 1)
         cfg, params = tiny_model(seed=4, dtype="f32", hidden_size=64, intermediate_size=172,
                                  n_heads=8, n_kv_heads=2, vocab_size=len(VOCAB),
                                  max_context=128)
@@ -229,6 +342,51 @@ class TestAccumulation:
         finally:
             tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
+
+
+    def test_step_memory_on_two_cpus(self, monkeypatch):
+        # Two windows are in flight, each holding its own graph, so the
+        # peak stays flat in the batch size and below twice the 1-CPU
+        # peak. How much two graphs overlap in time varies from step to
+        # step with thread scheduling (a single 2-window step peaks at
+        # 60-100% of the worst case); an 8-window step has four pairs in
+        # flight one after another, so the 2-window peak is taken over
+        # 24 steps, enough to include the pairs that overlap most.
+        cfg, params = tiny_model(seed=4, dtype="f32", hidden_size=64, intermediate_size=172,
+                                 n_heads=8, n_kv_heads=2, vocab_size=len(VOCAB),
+                                 max_context=128)
+        trainer, _, _ = make_trainer(params=params, cfg=cfg)
+        batch = fixed_batch(cfg, seq_len=128, n=8)
+        trainer.train_step(batch[:1], seq_len=128)  # warm-up
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for cpus, n, steps in ((1, 4, 1), (2, 2, 24), (2, 4, 1), (2, 8, 1)):
+                use_cpus(monkeypatch, cpus)
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                for _ in range(steps):
+                    trainer.train_step(batch[:n], seq_len=128)
+                peaks[cpus, n] = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peaks[2, 8] < 1.25 * peaks[2, 2]
+        assert peaks[2, 4] < 2 * peaks[1, 4]
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_window_grads_independent_of_the_cpu_count(self, monkeypatch, dtype):
+        cfg, params = tiny_model(seed=3, dtype=dtype, vocab_size=len(VOCAB))
+        trainer, _, _ = make_trainer(params=params, cfg=cfg)
+        batch = fixed_batch(cfg, n=4, seed=1)
+        grads = {}
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            grads[cpus] = capture_step_grads(monkeypatch)
+            with pytest.raises(StepGrads):
+                trainer.train_step(batch, seq_len=8)
+        assert len(grads[1]) == len(params.named_tensors())
+        for got, want in zip(grads[2], grads[1]):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestRunLoop:

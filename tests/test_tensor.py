@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import time
+import warnings
 import weakref
 
 import numpy as np
@@ -28,6 +29,7 @@ from deskllm.tensor import (
     transpose,
     tsum,
 )
+from deskllm.model import attention_mask
 from fdcheck import check_grad, max_rel_err
 from modelutil import use_cpus
 
@@ -159,6 +161,38 @@ class TestAttention:
         for got, want in zip(run(T.attention), run(attention_chain)):
             assert got.dtype == want.dtype == dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+    def test_gradient_over_a_segment_layout(self):
+        # a prompt and two branches, as model.branch_layout packs them,
+        # within a window shorter than the branches' reach
+        segments = np.array([0, 0, 0, 1, 1, 2, 2, 2])
+        mask = attention_mask(len(segments), 3, "f64", segments=segments)
+        q, k, v, probe = self._arrays(2, 2, 8, 8, seed=2)
+        q, k, v = leaf(q), leaf(k), leaf(v)
+        errs = check_grad(lambda: tsum(T.attention(q, k, v, mask, 0.4) * probe),
+                          {"q": q, "k": k, "v": v})
+        assert max(errs.values()) <= 1e-6
+
+    def test_fully_masked_row_warns_once_per_forward(self):
+        q, k, v, probe = self._arrays(1, 2, 3, 3, seed=3)
+        q, k, v = leaf(q), leaf(k), leaf(v)
+        mask = window_mask(3, 3, 2, np.float64)
+        mask.data[1] = T.MASK_NEG[np.dtype(np.float64)]
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            out = T.attention(q, k, v, mask, 0.4)
+            assert [str(w.message) for w in seen] == [
+                "softmax over fully masked slice; returning zeros"]
+            tsum(out * probe).backward()
+            assert len(seen) == 1  # the pull's recompute does not warn again
+        np.testing.assert_array_equal(out.data[:, :, 1], 0.0)
+        np.testing.assert_array_equal(q.grad[:, :, 1], 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            errs = check_grad(lambda: tsum(T.attention(q, k, v, mask, 0.4) * probe),
+                              {"q": q, "k": k, "v": v})
+        assert max(errs.values()) <= 1e-6
 
 
 class TestRmsNorm:
@@ -321,10 +355,24 @@ class TestBackwardSemantics:
     def test_backward_releases_the_graph(self):
         x = leaf([1.0, 2.0])
         loss = tsum(x * x)
-        inner = weakref.ref(loss._pairs[0][0])
+        inner = weakref.ref(loss._node.edges[0][0])
         loss.backward()
         assert inner() is None
         assert loss._pairs is None and x._pairs == []
+
+    def test_graph_keeps_only_what_its_pulls_read(self):
+        # add's pulls read shapes only, so the matmul result it consumed
+        # is freed once the caller drops it, while the graph lives on.
+        rng = np.random.default_rng(12)
+        x, w = leaf(rng.normal(size=(3, 4))), leaf(rng.normal(size=(4, 5)))
+        y = matmul(x, w)
+        values = weakref.ref(y.data)
+        loss = tsum(y + 1.0)
+        del y
+        assert values() is None
+        loss.backward()
+        np.testing.assert_allclose(x.grad, np.ones((3, 5)) @ w.data.T, rtol=1e-14)
+        np.testing.assert_allclose(w.grad, x.data.T @ np.ones((3, 5)), rtol=1e-14)
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ValueError, match="scalar"):
