@@ -17,7 +17,7 @@ from deskllm.chat import (Conversation, SftPlan, Turn, chat_vocab,
                           render_chat, run_sft)
 from deskllm.dpo import (DpoPlan, DpoStage, PreferencePair, dpo_train,
                          init_lora_adapters, render_pair, sequence_logprob)
-from deskllm.model import ModelConfig, init_params
+from deskllm.model import ModelConfig, init_params, lora_weights
 from deskllm.tensor import no_grad
 
 vocab = chat_vocab()
@@ -57,11 +57,11 @@ pairs = [
 def margin(adapters):
     total = 0.0
     with no_grad():
+        adapted = lora_weights(params, adapters)
         for pair in pairs:
             prompt, chosen, rejected = render_pair(pair, vocab)
             # one prefix-shared forward scores both responses
-            lc, lr_ = sequence_logprob(params, config, prompt, (chosen, rejected),
-                                       adapters=adapters)
+            lc, lr_ = sequence_logprob(adapted, config, prompt, (chosen, rejected))
             total += lc.item() - lr_.item()
     return total / len(pairs)
 

@@ -183,8 +183,8 @@ def run_sft(params: ModelParams, config: ModelConfig,
             if not usable:
                 continue
             lr = cosine_lr(min(tokens_seen, total_tokens), schedule)
-            parts = [partial(sft_loss, params, config, [example]) for example in usable]
-            train_loss = optimize(parts, opt, lr)
+            parts = [partial(sft_loss, config=config, examples=[example]) for example in usable]
+            train_loss = optimize(parts, opt, lr, params)
             log_step(records, {"step": opt.step_count, "tokens_seen": tokens_seen,
                                "lr": lr, "train_loss": train_loss}, log_path)
     return records

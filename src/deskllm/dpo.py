@@ -77,8 +77,8 @@ def dpo_loss(policy_lp_c, policy_lp_r, ref_lp_c, ref_lp_r, beta: float = 0.2) ->
     return mul(reduce(add, terms), 1.0 / len(terms))
 
 
-def sequence_logprob(params: ModelParams, config: ModelConfig, prompt_ids, responses, *,
-                     adapters=None) -> list[Tensor]:
+def sequence_logprob(params: ModelParams, config: ModelConfig, prompt_ids,
+                     responses) -> list[Tensor]:
     """Summed log-probability of each response given the prompt.
 
     One prefix-shared forward scores them all: the prompt runs once and
@@ -92,7 +92,7 @@ def sequence_logprob(params: ModelParams, config: ModelConfig, prompt_ids, respo
     if total > config.max_context:
         raise ValueError(f"prompt+response of {total} tokens exceeds context "
                          f"{config.max_context}")
-    logits = forward(params, ids, config, adapters=adapters, segments=segments)
+    logits = forward(params, ids, config, segments=segments)
     # T.embedding gathers the scoring rows (the prompt's last row scores
     # every response's first token) and scatter-adds their grads.
     return [mul(cross_entropy(embedding(logits, r_rows), response), -float(len(r_rows)))
@@ -223,10 +223,10 @@ def dpo_train(params: ModelParams, config: ModelConfig, stages: Sequence[DpoStag
 
     The reference log-probs are computed once per stage, the pairs
     scored concurrently (`tensor.each`). Each step runs its pairs as
-    `optimize` parts, so adapter gradients sum per pair, in pair order,
-    rather than per sequence: they match the whole batch's to rounding,
-    not bit for bit. Returns the adapters and the per-step log records.
-    The caller merges with lora_merge when a standalone model is wanted.
+    `optimize` parts on adapted weights built once per step, and one
+    seeded backward pulls their summed grads into A and B, which match
+    the whole batch's to rounding. Returns the adapters and the per-step
+    log records; lora_merge makes a standalone model of them.
     """
     plan = plan if plan is not None else DpoPlan()
     adapters = init_lora_adapters(params, rank=plan.rank, alpha=plan.alpha, seed=plan.seed)
@@ -248,10 +248,9 @@ def dpo_train(params: ModelParams, config: ModelConfig, stages: Sequence[DpoStag
         with no_grad():
             ref_cache = each(ref_logprobs, rendered)
 
-        def pair_loss(i: int) -> Tensor:
+        def pair_loss(leaves: ModelParams, i: int) -> Tensor:
             prompt_ids, chosen, rejected = rendered[i]
-            policy_c, policy_r = sequence_logprob(base, config, prompt_ids, (chosen, rejected),
-                                                  adapters=adapters)
+            policy_c, policy_r = sequence_logprob(leaves, config, prompt_ids, (chosen, rejected))
             return dpo_loss([policy_c], [policy_r], [ref_cache[i][0]], [ref_cache[i][1]],
                             beta=plan.beta)
 
@@ -259,8 +258,8 @@ def dpo_train(params: ModelParams, config: ModelConfig, stages: Sequence[DpoStag
             rng = np.random.default_rng(plan.seed + 104729 * stage_idx + epoch)
             order = rng.permutation(len(rendered))
             for lo in range(0, len(order), plan.batch_size):
-                parts = [partial(pair_loss, i) for i in order[lo:lo + plan.batch_size]]
-                train_loss = optimize(parts, opt, stage.lr)
+                parts = [partial(pair_loss, i=i) for i in order[lo:lo + plan.batch_size]]
+                train_loss = optimize(parts, opt, stage.lr, lora_weights(base, adapters))
                 log_step(records, {"step": opt.step_count, "stage": stage_idx,
                                    "lr": stage.lr, "train_loss": train_loss}, log_path)
     return adapters, records

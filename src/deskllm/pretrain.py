@@ -1,8 +1,8 @@
 """Staged pretraining loop, and the optimizer step and step log that
 pretraining, SFT and DPO share.
 
-A step is a list of micro-batches: each packed window is one. The
-optimizer step runs them concurrently, one per usable CPU
+A step is a list of micro-batches: each packed window is one. They run
+concurrently on the step's weights, built once, one per usable CPU
 (`tensor.each_fold`), each backpropagating its loss, times its 1/n
 share of the batch, into its own gradients; these are added in window
 order, so a step holds one window's autograd graph per unit in flight,
@@ -40,33 +40,37 @@ class TrainingDiverged(RuntimeError):
     """Loss became non-finite; the run was aborted."""
 
 
-def optimize(parts: Sequence[Callable[[], Tensor]], opt: AdamW, lr: float) -> float:
+def optimize(parts: Sequence[Callable[[ModelParams | None], Tensor]], opt: AdamW, lr: float,
+             weights: ModelParams | None = None) -> float:
     """One optimizer step over the micro-batches `parts`; returns the loss.
 
-    Each part builds one micro-batch's mean loss, and its share, loss *
-    1/n, is backpropagated into the part's own (leaf, grad) list. The
-    parts run concurrently, one per usable CPU (`tensor.each_fold`), so
-    a step holds one part's graph per unit in flight. Their grads are
-    added into the leaves' `.grad` strictly in part order, ((g0 + g1) +
-    g2) + ..., so the step is the same bit for bit on any CPU count. The
-    returned value is the dtype sum of the part losses times 1/n, the
-    mean that one graph over the whole batch computes. Then: global-norm
-    clipping to the optimizer's clip_norm, and an AdamW step at `lr`.
+    `weights` are the step's weights, built once by the caller with grad:
+    params, `fp8_weights(params)` or `lora_weights(base, adapters)`. Every
+    part reads them, each op result detached into a leaf, and builds one
+    micro-batch's mean loss; loss * 1/n is backpropagated into the part's
+    own (leaf, grad) list. The parts run concurrently (`tensor.each_fold`)
+    and their grads are added into the leaves' `.grad` in part order,
+    ((g0 + g1) + g2) + ..., so a step is the same bit for bit on any CPU
+    count. The returned mean is the dtype sum of the part losses times
+    1/n. Then a seeded backward pulls each detached leaf's grad through
+    its weight's graph, before global-norm clipping and AdamW at `lr`.
 
-    A non-finite loss, of any part or of the mean, raises
-    TrainingDiverged (the first such part in part order) before any
-    weight, moment or step count changes. Gradients are cleared
-    afterwards in every case, also when clipping finds a non-finite
-    norm, and also the ones earlier parts added before a later part
-    diverged.
+    A non-finite loss, of any part or of the mean, raises TrainingDiverged
+    (the first such part in part order) before any weight, moment or step
+    count changes. Gradients are cleared afterwards in every case, also
+    when clipping finds a non-finite norm or a later part diverged.
     """
     share = 1.0 / len(parts)
+    named = {} if weights is None else weights.named_tensors()
+    leaves = {name: w if w._node is None else Tensor(w.data, requires_grad=True)
+              for name, w in named.items()}
+    shared = None if weights is None else type(weights).build(len(weights.layers), leaves.get)
 
     def run(part):
-        loss = part()
+        loss = part(shared)
         _check_finite(loss, opt)
         grads: list = []
-        backward(mul(loss, share), grads)
+        backward(mul(loss, share), into=grads)
         return loss.data, grads
 
     def fold(result):
@@ -77,6 +81,9 @@ def optimize(parts: Sequence[Callable[[], Tensor]], opt: AdamW, lr: float) -> fl
     try:
         losses = each_fold(run, parts, fold)
         mean = _check_finite(mul(reduce(add, losses), share), opt)
+        for w, leaf in zip(named.values(), leaves.values()):
+            if leaf is not w and leaf.grad is not None:
+                backward(w, leaf.grad)
         clip_grad_norm(opt.grads(), opt.hyper.clip_norm)
         opt.step(lr)
     finally:
@@ -224,25 +231,22 @@ class Trainer:
             n = self.plan.val_batches * self.plan.batch_sequences
             self._val_set = [next(val_stream) for _ in range(n)]
 
+    def _weights(self) -> ModelParams:
+        return fp8_weights(self.params) if self.plan.fp8 else self.params
+
     def _val_loss(self) -> float | None:
         if not self._val_set:
             return None
         with no_grad():
-            return float(self._loss(self._val_set).item())
-
-    def _loss(self, examples) -> Tensor:
-        """batch_loss of the examples; with fp8 each call rounds the weights
-        afresh, since optimize frees each micro-batch's graph."""
-        params = fp8_weights(self.params) if self.plan.fp8 else self.params
-        return batch_loss(params, self.config, examples)
+            return float(batch_loss(self._weights(), self.config, self._val_set).item())
 
     def train_step(self, batch, seq_len: int) -> dict:
         """One optimization step on an explicit batch, one window per
         micro-batch; returns the log record."""
-        parts = [partial(self._loss, [window]) for window in batch]
+        parts = [partial(batch_loss, config=self.config, examples=[window]) for window in batch]
         tokens = sum(len(window) for window, _ in batch)
         lr = cosine_lr(self.tokens_seen + tokens, self.plan.schedule)
-        train_loss = optimize(parts, self.opt, lr)
+        train_loss = optimize(parts, self.opt, lr, self._weights())
         self.tokens_seen += tokens
         return {"step": self.step, "tokens_seen": self.tokens_seen, "lr": lr,
                 "seq_len": seq_len, "train_loss": train_loss}

@@ -228,12 +228,6 @@ class Tensor:
         self._node: _Node | None = None
 
     @property
-    def _pairs(self) -> list | None:
-        """The node's edges: [] for a leaf or a bare result, None once
-        backpropagated."""
-        return [] if self._node is None else self._node.edges
-
-    @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
@@ -633,21 +627,24 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 # ---------------------------------------------------------------------------
 # backward
 
-def backward(loss: Tensor, into: list | None = None) -> None:
-    """d(loss)/d(leaf) for every reachable leaf that requires grad.
+def backward(out: Tensor, cotangent: np.ndarray | None = None,
+             into: list | None = None) -> None:
+    """d(out)/d(leaf) for every reachable leaf that requires grad.
 
-    `loss` must be a scalar (one element). The gradients are added into
-    the leaves' `.grad`, so repeated calls accumulate; given `into`, they
-    are appended to it as (leaf, grad) pairs instead, for `accumulate`
-    to add later. Each node drops its edges, and with them the arrays its
-    pulls hold, as soon as its pulls have run, so a graph can be
-    backpropagated once: a later backward that reaches one of its op
-    results raises RuntimeError.
+    `out` is a scalar loss seeded with 1 or, given a `cotangent` of its
+    shape, any output seeded with that (a vector-Jacobian product). The
+    gradients are added into the leaves' `.grad`, so repeated calls
+    accumulate; given `into`, they are appended to it as (leaf, grad)
+    pairs instead, for `accumulate` to add later. Each node drops its
+    edges, and with them the arrays its pulls hold, as soon as its pulls
+    have run, so a graph can be backpropagated once: a later backward
+    that reaches one of its op results raises RuntimeError.
     """
-    if loss.data.size != 1:
-        raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
+    seed = np.ones_like(out.data) if cotangent is None else cotangent
+    if np.shape(seed) != out.shape or (cotangent is None and out.data.size != 1):
+        raise ValueError(f"backward needs a scalar loss or a cotangent of shape {out.shape}")
     grads = [] if into is None else into
-    root = loss if loss._node is None else loss._node
+    root = out if out._node is None else out._node
 
     order: list = []
     seen: set[int] = set()
@@ -667,10 +664,10 @@ def backward(loss: Tensor, into: list | None = None) -> None:
         for parent, _ in edges:
             stack.append((parent, False))
 
-    cotangent: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
+    cotangents = {id(root): seed}
     while order:
         node = order.pop()
-        g = cotangent.pop(id(node))  # every node in order lies on a path to loss
+        g = cotangents.pop(id(node))  # every node in order lies on a path to out
         if type(node) is not _Node:
             if node.requires_grad:
                 grads.append((node, g))
@@ -679,10 +676,10 @@ def backward(loss: Tensor, into: list | None = None) -> None:
         for parent, pull in edges:
             contrib = pull(g)
             key = id(parent)
-            if key in cotangent:
-                cotangent[key] = cotangent[key] + contrib
+            if key in cotangents:
+                cotangents[key] = cotangents[key] + contrib
             else:
-                cotangent[key] = contrib
+                cotangents[key] = contrib
     if into is None:
         accumulate(grads)
 

@@ -152,8 +152,8 @@ class TestSequenceLogprob:
         for a in adapters.values():
             a.b.data[...] = 0.05
         base = float(sequence_logprob(params, cfg, [1, 2], [[3, 4]])[0].item())
-        adapted = float(sequence_logprob(params, cfg, [1, 2], [[3, 4]],
-                                         adapters=adapters)[0].item())
+        adapted = float(sequence_logprob(lora_weights(params, adapters), cfg, [1, 2],
+                                         [[3, 4]])[0].item())
         assert base != adapted
 
 
@@ -198,8 +198,8 @@ class TestPrefixSharedScorer:
                 t.zero_grad()
             return [float(lp.item()) for lp in lps], grads
 
-        got, got_grads = run(lambda: sequence_logprob(params, cfg, prompt_ids, responses,
-                                                      adapters=adapters))
+        got, got_grads = run(lambda: sequence_logprob(lora_weights(params, adapters), cfg,
+                                                      prompt_ids, responses))
         want, want_grads = run(lambda: [separate_logprob(params, cfg, prompt_ids, r, adapters)
                                         for r in responses])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
@@ -432,10 +432,9 @@ class TestDpoTrain:
         for pair in pairs:
             p_ids, chosen, rejected = render_pair(pair, CHAT_VOCAB)
             with no_grad():
-                plc = float(sequence_logprob(params, cfg, p_ids, [chosen],
-                                             adapters=adapters)[0].item())
-                plr = float(sequence_logprob(params, cfg, p_ids, [rejected],
-                                             adapters=adapters)[0].item())
+                adapted = lora_weights(params, adapters)
+                plc = float(sequence_logprob(adapted, cfg, p_ids, [chosen])[0].item())
+                plr = float(sequence_logprob(adapted, cfg, p_ids, [rejected])[0].item())
                 rlc = float(sequence_logprob(params, cfg, p_ids, [chosen])[0].item())
                 rlr = float(sequence_logprob(params, cfg, p_ids, [rejected])[0].item())
             assert (plc - rlc) - (plr - rlr) > 0
@@ -447,8 +446,8 @@ class TestDpoTrain:
         p_ids, chosen, _ = render_pair(pair, CHAT_VOCAB)
         with no_grad():
             ref = float(sequence_logprob(params, cfg, p_ids, [chosen])[0].item())
-            pol = float(sequence_logprob(params, cfg, p_ids, [chosen],
-                                         adapters=adapters)[0].item())
+            pol = float(sequence_logprob(lora_weights(params, adapters), cfg, p_ids,
+                                         [chosen])[0].item())
         assert pol == ref
 
     def test_base_weights_frozen(self):
@@ -521,14 +520,29 @@ class TestDpoTrain:
         seen = []
         real_optimize = dpo_module.optimize
 
-        def spy(parts, opt, lr):
+        def spy(*args, **kwargs):
             seen.append({n: t.requires_grad for n, t in named.items()})
-            return real_optimize(parts, opt, lr)
+            return real_optimize(*args, **kwargs)
 
         monkeypatch.setattr(dpo_module, "optimize", spy)
         dpo_train(params, cfg, [DpoStage(toy_pairs(), lr=1e-3, epochs=2)], CHAT_VOCAB,
                   DpoPlan(seed=8))
         assert len(seen) > 1 and all(step == flags for step in seen)
+
+    def test_adapted_weights_built_once_per_step(self, monkeypatch):
+        cfg, params = self.make_model(seed=27)
+        built = []
+        real_lora_weights = dpo_module.lora_weights
+
+        def spy(*args, **kwargs):
+            built.append(args)
+            return real_lora_weights(*args, **kwargs)
+
+        monkeypatch.setattr(dpo_module, "lora_weights", spy)
+        pairs = toy_pairs() + (PreferencePair(prompt("ef"), "left", "right"),)
+        _, records = dpo_train(params, cfg, [DpoStage(pairs, lr=1e-3, epochs=2)], CHAT_VOCAB,
+                               DpoPlan(seed=3, batch_size=2))
+        assert len(records) == 4 and len(built) == len(records)
 
     @pytest.mark.parametrize("dtype, rel", [("f64", 1e-12), ("f32", 1e-5)])
     def test_pair_grads_match_whole_batch(self, monkeypatch, dtype, rel):
@@ -560,7 +574,7 @@ class TestDpoTrain:
         with no_grad():
             ref = [[float(sequence_logprob(params, cfg, p, [resp])[0].item())
                     for resp in (c, r)] for p, c, r in rendered]
-        policy = [[sequence_logprob(params, cfg, p, [resp], adapters=adapters)[0]
+        policy = [[sequence_logprob(lora_weights(params, adapters), cfg, p, [resp])[0]
                    for resp in (c, r)] for p, c, r in rendered]
         dpo_loss(*zip(*policy), *zip(*ref), beta=plan.beta).backward()
         whole = [getattr(ad, part).grad for ad in adapters.values() for part in "ab"]

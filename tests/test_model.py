@@ -743,7 +743,7 @@ class TestNoGradResults:
         assert len(made) > 100
         for out in made:
             assert type(out.data) is np.ndarray and out.data.dtype == params.dtype
-            assert not out.requires_grad and out._pairs == [] and out.grad is None
+            assert not out.requires_grad and out._node is None and out.grad is None
 
     def test_the_same_ops_with_grad_pass_fdcheck(self):
         cfg, params = tiny_model(seed=3, hidden_size=8, intermediate_size=12, n_layers=1,

@@ -30,7 +30,7 @@ from deskllm.tensor import (
     tsum,
 )
 from deskllm.model import attention_mask
-from fdcheck import check_grad, max_rel_err
+from fdcheck import central_diff, check_grad, max_rel_err
 from modelutil import use_cpus
 
 
@@ -358,7 +358,7 @@ class TestBackwardSemantics:
         inner = weakref.ref(loss._node.edges[0][0])
         loss.backward()
         assert inner() is None
-        assert loss._pairs is None and x._pairs == []
+        assert loss._node.edges is None and x._node is None
 
     def test_graph_keeps_only_what_its_pulls_read(self):
         # add's pulls read shapes only, so the matmul result it consumed
@@ -378,6 +378,39 @@ class TestBackwardSemantics:
         with pytest.raises(ValueError, match="scalar"):
             leaf([1.0, 2.0]).backward()
 
+    def test_non_scalar_output_without_cotangent_rejected(self):
+        x = leaf([1.0, 2.0])
+        with pytest.raises(ValueError, match="scalar"):
+            T.backward(x * x)
+        assert x.grad is None
+
+    def test_seeded_backward_passes_fdcheck(self):
+        # backward(out, cotangent) pulls the cotangent back to the leaves:
+        # the gradient of sum(cotangent * out)
+        rng = np.random.default_rng(21)
+        x, w = leaf(rng.normal(size=(3, 4))), leaf(rng.normal(size=(4, 5)))
+        cotangent = rng.normal(size=(3, 5))
+
+        def out():
+            return silu(matmul(x, w))
+
+        def value():
+            with no_grad():
+                return float((cotangent * out().data).sum())
+
+        T.backward(out(), cotangent)
+        for t in (x, w):
+            assert max_rel_err(t.grad, central_diff(value, t.data)) < 1e-6
+
+    def test_cotangent_of_another_shape_rejected(self):
+        x = leaf([[1.0, 2.0], [3.0, 4.0]])
+        y = x * x
+        for bad in (np.ones(4), np.ones((2, 1)), np.ones(())):
+            with pytest.raises(ValueError, match=r"cotangent of shape \(2, 2\)"):
+                T.backward(y, bad)
+        T.backward(y, np.ones((2, 2)))  # the graph is still whole
+        np.testing.assert_array_equal(x.grad, 2.0 * x.data)
+
     def test_diamond_graph_fan_in(self):
         x = leaf([2.0])
         y = x * x
@@ -389,7 +422,7 @@ class TestBackwardSemantics:
         with no_grad():
             y = tsum(x * x)
         assert not y.requires_grad
-        assert y._pairs == []
+        assert y._node is None
 
     def test_frozen_leaves_get_no_grad(self):
         x = leaf([1.0, 2.0])
