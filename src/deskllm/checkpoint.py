@@ -15,9 +15,11 @@ Layout, all integers little-endian:
 Optimizer moments are stored beside the weights as "optim.m.<name>" and
 "optim.v.<name>"; the step count rides in extra. Round-tripping is
 bitwise: load(save(x)) reproduces every tensor byte for byte. Both ways
-stream: save hashes and writes one tensor at a time, and load reads each
-tensor straight into its own array, so neither holds the file's bytes
-beside the tensors.
+stream: save writes one tensor at a time, and load reads each tensor
+straight into its own array, so neither holds the file's bytes beside the
+tensors. The SHA-256 runs on one helper thread beside the writes or reads,
+over the same bytes in the same order, so the format and the bytes of a
+file are what a hash in line would give.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import json
 import math
 import os
 import struct
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 import numpy as np
 
@@ -41,6 +44,7 @@ _ALLOWED_DTYPES = ("<f4", "<f8")
 # Config fields that older headers carry; they load only while false.
 _LEGACY_FALSE_KEYS = ("tie_embeddings", "use_bias")
 _ENTRY_KEYS = ("name", "dtype", "shape", "offset", "nbytes")
+_CHUNK = 1 << 20  # load reads and hashes the payload in spans of at most this
 
 
 class CheckpointError(RuntimeError):
@@ -57,7 +61,8 @@ class Checkpoint:
 
 def save_checkpoint(path, config: ModelConfig, tensors: dict[str, np.ndarray],
                     extra: dict | None = None) -> None:
-    """Write the header, then each tensor's bytes, hashing them as they go."""
+    """Write the header, then each tensor's bytes, while a helper thread
+    hashes the same bytes; the digest goes last."""
     entries = []
     arrays = []
     offset = 0
@@ -72,25 +77,27 @@ def save_checkpoint(path, config: ModelConfig, tensors: dict[str, np.ndarray],
         offset += le.nbytes
     header = {"config": asdict(config), "tensors": entries, "extra": dict(extra or {})}
     header_json = json.dumps(header, sort_keys=True).encode("utf-8")
-    digest = hashlib.sha256(header_json)
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<Q", len(header_json)))
-        f.write(header_json)
-        for le in arrays:
-            digest.update(le)
-            f.write(le)
-        f.write(digest.digest())
+    with _Sha256() as sha:
+        for span in (header_json, *arrays):  # hashing starts before open() truncates
+            sha.update(span)
+        with open(path, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", VERSION))
+            f.write(struct.pack("<Q", len(header_json)))
+            f.write(header_json)
+            for le in arrays:
+                f.write(le)
+            f.write(sha.digest())
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint, streaming each tensor into its own array.
 
     The header is checked against the file size before any tensor array
-    is allocated, and every byte is hashed as it is read. A file whose
-    digest does not match raises "checksum mismatch" first, even when its
-    header is bad too; a bad header raises only once the digest matched.
+    is allocated, and every byte is hashed on a helper thread once it is
+    read. A file whose digest does not match raises "checksum mismatch"
+    first, even when its header is bad too; a bad header raises only once
+    the digest matched.
     """
     with open(path, "rb", buffering=0) as f:
         size = os.fstat(f.fileno()).st_size
@@ -104,7 +111,6 @@ def load_checkpoint(path) -> Checkpoint:
         if 16 + hlen + 32 > size:
             raise CheckpointError(f"{path}: truncated header")
         header_json = _read_exact(f, hlen)
-        digest = hashlib.sha256(header_json)
         payload_len = size - 48 - hlen
         try:
             header, entries = _parse_header(path, header_json, payload_len)
@@ -112,9 +118,11 @@ def load_checkpoint(path) -> Checkpoint:
             header_error, entries = e, []
         else:
             header_error = None
-        tensors = _read_payload(f, digest, 16 + hlen, payload_len, entries)
-        if digest.digest() != _read_exact(f, 32):
-            raise CheckpointError(f"{path}: checksum mismatch")
+        with _Sha256() as sha:
+            sha.update(header_json)
+            tensors = _read_payload(f, sha, 16 + hlen, payload_len, entries)
+            if _read_exact(f, 32) != sha.digest():
+                raise CheckpointError(f"{path}: checksum mismatch")
     if header_error is not None:
         raise header_error
     fields = header["config"]
@@ -182,40 +190,82 @@ def _parse_header(path, header_json: bytes, payload_len: int) -> tuple[dict, lis
     return header, entries
 
 
-def _read_payload(f, digest, start: int, payload_len: int, entries) -> dict[str, np.ndarray]:
+def _read_payload(f, sha: _Sha256, start: int, payload_len: int,
+                  entries) -> dict[str, np.ndarray]:
     """Hash the payload front to back, reading each entry's bytes straight
     into a new array. Entries may come in any offset order, and may leave
-    gaps or overlap; the bytes of a gap are hashed through a scratch
-    buffer, and a byte that two entries share is hashed once."""
+    gaps or overlap; the bytes of a gap are hashed through scratch
+    buffers, and a byte that two entries share is hashed once."""
     arrays: dict[str, np.ndarray] = {}
-    pos = 0  # payload bytes hashed so far
+    pos = 0  # payload bytes handed to the hash so far
     for name, dtype, shape, offset in sorted(entries, key=lambda e: e[3]):
         arr = np.empty(shape, dtype=np.dtype(dtype))
         raw = memoryview(arr.reshape(-1).view(np.uint8))
-        pos = _hash_span(f, digest, start, pos, offset)
+        pos = _hash_span(f, sha, start, pos, offset)
         f.seek(start + offset)
-        _fill(f, raw)
-        if offset + len(raw) > pos:
-            digest.update(raw[pos - offset:])
-            pos = offset + len(raw)
+        hashed = min(pos - offset, len(raw))  # bytes an earlier entry shares
+        _fill(f, raw[:hashed])
+        for i in range(hashed, len(raw), _CHUNK):
+            chunk = raw[i:i + _CHUNK]
+            _fill(f, chunk)
+            sha.update(chunk)
+        pos = max(pos, offset + len(raw))
         arrays[name] = arr
-    _hash_span(f, digest, start, pos, payload_len)
+    _hash_span(f, sha, start, pos, payload_len)
     f.seek(start + payload_len)
     return {name: arrays[name] for name, *_ in entries}
 
 
-def _hash_span(f, digest, start: int, pos: int, end: int) -> int:
-    """Hash payload bytes [pos, end) when pos < end; returns max(pos, end)."""
+def _hash_span(f, sha: _Sha256, start: int, pos: int, end: int) -> int:
+    """Hash payload bytes [pos, end) when pos < end; returns max(pos, end).
+    The bytes pass through two scratch buffers in turn, and a buffer is
+    read into again only once its last span has been hashed."""
     if pos >= end:
         return pos
     f.seek(start + pos)
-    scratch = memoryview(bytearray(min(end - pos, 1 << 20)))
+    size = min(end - pos, _CHUNK)
+    scratch = [memoryview(bytearray(size)), memoryview(bytearray(size))]
+    hashed: list[Future | None] = [None, None]
+    turn = 0
     while pos < end:
-        chunk = scratch[:min(len(scratch), end - pos)]
+        if hashed[turn] is not None:
+            hashed[turn].result()
+        chunk = scratch[turn][:min(size, end - pos)]
         _fill(f, chunk)
-        digest.update(chunk)
+        hashed[turn] = sha.update(chunk)
         pos += len(chunk)
+        turn ^= 1
     return pos
+
+
+class _Sha256:
+    """SHA-256 computed on one helper thread, over spans in the order they
+    are handed in. A span must not change until its future is done; the
+    helper is joined when the `with` block exits, skipping the spans not
+    yet hashed when it exits on an error."""
+
+    def __init__(self):
+        self._sha = hashlib.sha256()
+        self._pool = ThreadPoolExecutor(1, thread_name_prefix="deskllm-sha256")
+        self._pending: list[Future] = []
+
+    def __enter__(self) -> _Sha256:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._pool.shutdown(wait=True, cancel_futures=True)
+
+    def update(self, span) -> Future:
+        done = self._pool.submit(self._sha.update, span)
+        self._pending.append(done)
+        return done
+
+    def digest(self) -> bytes:
+        """The digest of every span handed in, once all are hashed."""
+        for done in self._pending:
+            done.result()
+        self._pending.clear()
+        return self._sha.digest()
 
 
 # ---------------------------------------------------------------------------

@@ -108,16 +108,14 @@ class AdamW:
         self.step_count = 0
 
     def step(self, lr: float) -> None:
+        """One update of every parameter; a missing or misshapen gradient
+        raises before any weight, moment or the step count changes."""
+        grads = self.grads()
         hy = self.hyper
         self.step_count += 1
         c1 = 1.0 - hy.beta1 ** self.step_count
         c2 = 1.0 - hy.beta2 ** self.step_count
-        for name, p in self.params.items():
-            if p.grad is None:
-                raise ValueError(f"parameter {name!r} has no gradient")
-            g = p.grad
-            if g.shape != p.data.shape:
-                raise ShapeError(f"gradient shape {g.shape} != param shape {p.data.shape}")
+        for (name, p), g in zip(self.params.items(), grads):
             m = self.m[name]
             v = self.v[name]
             m *= hy.beta1
@@ -130,11 +128,15 @@ class AdamW:
             p.data -= lr * update
 
     def grads(self) -> list[np.ndarray]:
-        """Gradient arrays in parameter order (for global-norm clipping)."""
+        """Gradient arrays in parameter order (for global-norm clipping),
+        each checked to be present and shaped like its parameter."""
         out = []
         for name, p in self.params.items():
             if p.grad is None:
                 raise ValueError(f"parameter {name!r} has no gradient")
+            if p.grad.shape != p.data.shape:
+                raise ShapeError(f"parameter {name!r}: gradient shape {p.grad.shape} "
+                                 f"!= param shape {p.data.shape}")
             out.append(p.grad)
         return out
 

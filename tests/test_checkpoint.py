@@ -3,11 +3,13 @@
 import hashlib
 import json
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from deskllm import checkpoint
 from deskllm.checkpoint import (Checkpoint, CheckpointError, apply_optimizer_state,
                                 build_params, inspect_checkpoint, load_checkpoint,
                                 load_model, save_checkpoint, save_model_checkpoint)
@@ -391,6 +393,80 @@ class TestStreamingLoad:
             tracemalloc.stop()
         assert out.tobytes() == big.tobytes()
         assert peak < 1.25 * big.nbytes
+
+
+class TestHashThread:
+    """The SHA-256 runs on a helper thread beside the file I/O."""
+
+    def test_digest_is_sha256_of_header_and_payload(self, tmp_path):
+        cfg, params = tiny_model(seed=17)
+        opt = AdamW(params.named_tensors(), OptimHyper())
+        TestOptimizerState().run_steps(params, opt, 2)
+        path = tmp_path / "model.dkpt"
+        save_model_checkpoint(path, params, cfg, optimizer=opt)
+        raw = path.read_bytes()
+        assert raw[-32:] == hashlib.sha256(raw[16:-32]).digest()
+
+    def test_spans_past_one_mib_load(self, tmp_path):
+        cfg, _ = tiny_model(seed=18)
+        rng = np.random.default_rng(18)
+        tensors = {"gap": rng.standard_normal(3 << 17),    # 3 MiB, dropped: a gap
+                   "big": rng.standard_normal(5 << 16),    # 2.5 MiB
+                   "small": rng.standard_normal(3)}
+        path = tmp_path / "spans.dkpt"
+        save_checkpoint(path, cfg, tensors)
+        _rewrite_header(path, lambda h: h["tensors"].pop(0))
+        loaded = load_checkpoint(path).tensors
+        assert list(loaded) == ["big", "small"]
+        for name, arr in loaded.items():
+            assert arr.tobytes() == tensors[name].tobytes()
+
+    def test_save_peak_memory_copies_no_tensor(self, tmp_path):
+        cfg, _ = tiny_model(seed=16)
+        big = np.arange(1 << 20, dtype=np.float64)  # 8 MiB
+        path = tmp_path / "big.dkpt"
+        tracemalloc.start()
+        try:
+            save_checkpoint(path, cfg, {"big": big})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert load_checkpoint(path).tensors["big"].tobytes() == big.tobytes()
+        assert peak < 0.25 * big.nbytes
+
+    def test_helper_joined_on_each_failure(self, tmp_path, monkeypatch):
+        threads = threading.active_count()
+        cfg, _ = tiny_model(seed=19)
+        tensors = {"big": np.arange(1 << 19, dtype=np.float64)}  # 4 MiB: four spans
+        path = tmp_path / "model.dkpt"
+        save_checkpoint(path, cfg, tensors)
+
+        with pytest.raises(FileNotFoundError):
+            save_checkpoint(tmp_path / "missing" / "model.dkpt", cfg, tensors)
+        assert threading.active_count() == threads
+
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        corrupt = tmp_path / "corrupt.dkpt"
+        corrupt.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
+            load_checkpoint(corrupt)
+        assert threading.active_count() == threads
+
+        fill, spans = checkpoint._fill, []
+
+        def failing_fill(f, view):
+            if len(view) == 1 << 20:
+                spans.append(view)
+                if len(spans) == 2:  # the first span is being hashed
+                    raise CheckpointError(f"{f.name}: file shrank while it was read")
+            fill(f, view)
+
+        monkeypatch.setattr(checkpoint, "_fill", failing_fill)
+        with pytest.raises(CheckpointError, match="file shrank"):
+            load_checkpoint(path)
+        assert len(spans) == 2
+        assert threading.active_count() == threads
 
 
 class TestInspect:

@@ -195,6 +195,23 @@ class TestAdamW:
         with pytest.raises(ValueError):
             opt.step(lr=1e-3)
 
+    @pytest.mark.parametrize("bad_grad", [None, np.ones(3)], ids=["missing", "misshapen"])
+    def test_bad_grad_changes_nothing(self, bad_grad):
+        first = Tensor(np.ones(2), requires_grad=True)
+        second = Tensor(np.ones(2), requires_grad=True)
+        opt = AdamW({"first": first, "second": second})
+        first.grad, second.grad = np.full(2, 2.0), np.full(2, 2.0)
+        opt.step(lr=1e-1)
+        state = [first.data.copy(), second.data.copy(),
+                 *(arr.copy() for arr in (*opt.m.values(), *opt.v.values()))]
+        second.grad = bad_grad
+        with pytest.raises(ValueError, match="'second'"):
+            opt.step(lr=1e-1)
+        assert opt.step_count == 1
+        after = [first.data, second.data, *opt.m.values(), *opt.v.values()]
+        for want, got in zip(state, after, strict=True):
+            np.testing.assert_array_equal(got, want)
+
     def test_step_count_and_moments_update(self):
         p = Tensor(np.array([1.0]), requires_grad=True)
         opt = AdamW({"p": p}, OptimHyper(weight_decay=0.0))
