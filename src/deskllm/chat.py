@@ -23,7 +23,7 @@ from .model import ModelConfig, ModelParams
 from .optim import AdamW, LrSchedule, cosine_lr
 from .pretrain import batch_loss, log_step, no_decay_names, optimize
 from .tensor import IGNORE_INDEX, Tensor
-from .tokenizer import Vocab, encode
+from .tokenizer import Vocab, byte_fallback_vocab, encode
 
 ROLE_MARKERS = {"system": b"<|system|>", "user": b"<|user|>", "assistant": b"<|assistant|>"}
 END_MARKER = b"<|end|>"
@@ -83,11 +83,9 @@ def render_chat(conv: Conversation, vocab: Vocab) -> tuple[np.ndarray, np.ndarra
 
 def chat_vocab() -> Vocab:
     """Byte fallback plus atomic template markers; the natural test vocab."""
-    tokens = [bytes([i]) for i in range(256)]
-    tokens += [b"<|bos|>", b"<|eos|>", b"<|pad|>"]
-    tokens += [ROLE_MARKERS["system"], ROLE_MARKERS["user"], ROLE_MARKERS["assistant"],
-               END_MARKER]
-    return Vocab(tokens, bos_id=256, eos_id=257, pad_id=258)
+    base = byte_fallback_vocab()
+    return Vocab(base.id_to_token + [*ROLE_MARKERS.values(), END_MARKER],
+                 bos_id=base.bos_id, eos_id=base.eos_id, pad_id=base.pad_id)
 
 
 def sft_example(tokens: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

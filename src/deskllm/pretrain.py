@@ -3,12 +3,12 @@ pretraining, SFT and DPO share.
 
 A step is a list of micro-batches: each packed window is one. They run
 concurrently on the step's weights, built once, one per usable CPU
-(`tensor.each_fold`), each backpropagating its loss, times its 1/n
-share of the batch, into its own gradients; these are added in window
-order, so a step holds one window's autograd graph per unit in flight,
-and the gradients it sums are the whole batch's bit for bit on any CPU
-count. Validation runs without a graph, so its windows are scored
-concurrently too (`tensor.each`), with the same value as one at a time.
+(`tensor.each`), each backpropagating its loss, times its 1/n share of
+the batch, into its own gradients; these are added in window order, so
+a step holds one window's autograd graph per unit in flight, and the
+gradients it sums are the whole batch's bit for bit on any CPU count.
+Validation scores its windows concurrently too, with the same value as
+one at a time.
 
 The learning-rate schedule is evaluated after counting the current
 batch into tokens_seen, so the first logged lr is peak * batch/warmup
@@ -31,8 +31,7 @@ from .data import DataStage, Document, pack_sequences, sample_mix, stage_index
 from .errors import ConfigError, check, count
 from .model import ModelConfig, ModelParams, forward, fp8_weights
 from .optim import AdamW, LrSchedule, OptimHyper, clip_grad_norm, cosine_lr
-from .tensor import (Tensor, accumulate, add, backward, cross_entropy, each, each_fold, mul,
-                     no_grad)
+from .tensor import Tensor, accumulate, add, backward, cross_entropy, each, mul, no_grad
 from .tokenizer import Vocab, encode
 
 
@@ -48,7 +47,7 @@ def optimize(parts: Sequence[Callable[[ModelParams | None], Tensor]], opt: AdamW
     params, `fp8_weights(params)` or `lora_weights(base, adapters)`. Every
     part reads them, each op result detached into a leaf, and builds one
     micro-batch's mean loss; loss * 1/n is backpropagated into the part's
-    own (leaf, grad) list. The parts run concurrently (`tensor.each_fold`)
+    own (leaf, grad) list. The parts run concurrently (`tensor.each`)
     and their grads are added into the leaves' `.grad` in part order,
     ((g0 + g1) + g2) + ..., so a step is the same bit for bit on any CPU
     count. The returned mean is the dtype sum of the part losses times
@@ -79,7 +78,7 @@ def optimize(parts: Sequence[Callable[[ModelParams | None], Tensor]], opt: AdamW
         return Tensor(loss)
 
     try:
-        losses = each_fold(run, parts, fold)
+        losses = each(run, parts, fold)
         mean = _check_finite(mul(reduce(add, losses), share), opt)
         for w, leaf in zip(named.values(), leaves.values()):
             if leaf is not w and leaf.grad is not None:
@@ -143,9 +142,9 @@ def batch_loss(params: ModelParams, config: ModelConfig, examples) -> Tensor:
     Examples may differ in length, and targets hold IGNORE_INDEX on
     unscored rows. The result is the mean of per-example means; packed
     windows all score seq_len - 1 rows, so for them it is the
-    per-position mean. Under `no_grad` the examples are scored
-    concurrently (`tensor.each`) and summed in input order, so the value
-    is the same as with grad on.
+    per-position mean. The examples are scored concurrently
+    (`tensor.each`), in the caller's grad mode, and summed in input
+    order, so the value and its gradients are the same on any CPU count.
     """
     losses = each(lambda ex: cross_entropy(forward(params, ex[0], config), ex[1]), examples)
     return mul(reduce(add, losses), 1.0 / len(losses))

@@ -11,10 +11,9 @@ freed as soon as the caller drops it; `rms_norm`, `silu` and
 `attention` recompute what they can in their pulls. Under `no_grad` an
 op result is bare: its array, in its inputs' dtype, and no node; the
 hot ops return it before building their pulls. The grad mode belongs
-to the thread that sets it. `each` maps graph-free units over items,
-and `each_fold` units that build graphs, one per usable CPU at a time,
-with results (and folds) in input order and so independent of the CPU
-count.
+to the thread that sets it. `each` maps units over items, in the
+caller's grad mode, one per usable CPU at a time, with results (and
+folds) in input order and so independent of the CPU count.
 """
 
 from __future__ import annotations
@@ -89,46 +88,25 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
 
 
-def each(fn: Callable, items) -> list:
-    """`[fn(x) for x in items]`; graph-free, the units run concurrently.
+def each(fn: Callable, items, fold: Callable | None = None) -> list:
+    """`[fn(x) for x in items]`, or `[fold(fn(x)) for x in items]` given a
+    fold, with up to one unit per usable CPU running at once.
 
-    With the calling thread's grad mode off, up to one unit per usable
-    CPU runs at once (see `_ordered`), each under `no_grad`. Results come
-    back in input order, so a caller that folds them in that order gets
-    the same value as the sequential loop, whatever the CPU count. With
-    grad on, or inside a unit, it is the plain loop.
-    """
-    items = list(items)
-    width = 1 if _mode.grad or _mode.in_each else min(len(items), _usable_cpus())
-    return _ordered(fn, items, width)
-
-
-def each_fold(fn: Callable, items, fold: Callable) -> list:
-    """`[fold(fn(x)) for x in items]`, for units that build graphs.
-
-    Up to one `fn` call per usable CPU runs at once, in the caller's grad
-    mode (see `_ordered`); the `fold` calls run one at a time in input
-    order, so what they add up is the same whatever the CPU count. A
-    unit takes its next item only after its fold, so no more than one
-    unit per CPU is in flight, and the unit after the first `width` ones
-    starts only after the first fold. Inside a unit it is the plain loop.
+    Each unit runs `fn` on one item, in a copy of the caller's context
+    and grad mode, on the calling thread or a helper; inside a unit this
+    is the plain loop. The first units, one per thread, begin together,
+    and a thread takes its next item only after its unit's fold, so no
+    more than one unit per CPU is in flight. The folds run one at a time
+    in input order and the results come back in input order, so what a
+    caller adds up is the same whatever the CPU count. The first failing
+    unit or fold in input order re-raises its exception, and no unit
+    after it starts or folds once it has failed. Every helper thread is
+    joined before the call returns. The units overlap where numpy and
+    BLAS release the interpreter lock; a multi-threaded BLAS shares the
+    same cores.
     """
     items = list(items)
     width = 1 if _mode.in_each else min(len(items), _usable_cpus())
-    return _ordered(fn, items, width, fold)
-
-
-def _ordered(fn: Callable, items: list, width: int, fold: Callable | None = None) -> list:
-    """The loop behind `each` and `each_fold`: `width` threads, the calling
-    one and helpers, each in a copy of the caller's context and grad mode,
-    take the items in input order. The first `width` units, one per
-    thread, begin together, and a unit's fold waits until every unit
-    before it has folded. The first failing unit in input order re-raises
-    its exception, and no unit after it starts or folds once it has
-    failed. Every helper thread is joined before the call returns. The
-    units overlap where numpy and BLAS release the interpreter lock; a
-    multi-threaded BLAS shares the same cores.
-    """
     if width < 2:
         return [fn(x) if fold is None else fold(fn(x)) for x in items]
     n = len(items)

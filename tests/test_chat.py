@@ -96,6 +96,13 @@ class TestRenderChat:
         n_prefix = 1 + len(encode("be brief", CHAT_VOCAB)) + 1  # sys turn tokens
         assert mask[:n_prefix].sum() == 0
 
+    def test_chat_vocab_extends_the_byte_fallback(self):
+        base = byte_fallback_vocab()
+        assert CHAT_VOCAB.id_to_token[:len(base)] == base.id_to_token
+        assert (CHAT_VOCAB.bos_id, CHAT_VOCAB.eos_id, CHAT_VOCAB.pad_id) == (256, 257, 258)
+        assert CHAT_VOCAB.id_to_token[len(base):] == [
+            b"<|system|>", b"<|user|>", b"<|assistant|>", b"<|end|>"]
+
     def test_markers_spelled_out_without_atomic_tokens(self):
         # A plain byte vocab still renders; markers become ordinary bytes.
         vocab = byte_fallback_vocab()

@@ -499,6 +499,18 @@ class TestShardEquivalence:
         assert set(grads) == set(params.named_tensors())
         assert all(t.grad is None for t in params.named_tensors().values())
 
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_batch_grads_independent_of_the_cpu_count(self, monkeypatch, dtype):
+        cfg, params = tiny_model(seed=3, dtype=dtype, vocab_size=64)
+        batch = fixed_batch(cfg, n=4, seed=1)
+        grads = {}
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            grads[cpus] = batch_grads(params, cfg, batch)
+        for name, want in grads[1].items():
+            got = grads[2][name]
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 class TestWiring:
     def test_no_decay_covers_exactly_norms(self):

@@ -536,15 +536,15 @@ class TestGradModePerThread:
 
 
 class TestEach:
-    """`T.each`: the graph-free map over independent units."""
+    """`T.each`: the ordered map over independent units, with optional folds."""
 
     @staticmethod
-    def run(fn, items, cpus, monkeypatch, grad=False):
+    def run(fn, items, cpus, monkeypatch, grad=False, fold=None):
         use_cpus(monkeypatch, cpus)
         if grad:
-            return T.each(fn, items)
+            return T.each(fn, items, fold)
         with no_grad():
-            return T.each(fn, items)
+            return T.each(fn, items, fold)
 
     def test_results_in_input_order(self, monkeypatch):
         def unit(x):
@@ -553,7 +553,7 @@ class TestEach:
 
         assert self.run(unit, range(12), 2, monkeypatch) == [x * x for x in range(12)]
 
-    def test_graph_free_units_run_at_once_under_no_grad(self, monkeypatch):
+    def two_units_meet(self, monkeypatch, grad):
         meet = threading.Barrier(2, timeout=10)  # breaks unless both units run at once
         seen = []
 
@@ -562,18 +562,86 @@ class TestEach:
             seen.append((threading.get_ident(), T.grad_enabled()))
             return x
 
-        assert self.run(unit, [0, 1], 2, monkeypatch) == [0, 1]
+        assert self.run(unit, [0, 1], 2, monkeypatch, grad=grad) == [0, 1]
         assert len({ident for ident, _ in seen}) == 2
-        assert [grad for _, grad in seen] == [False, False]
+        assert [g for _, g in seen] == [grad, grad]
         assert T.grad_enabled()
 
-    @pytest.mark.parametrize("cpus, grad", [(1, False), (2, True)], ids=["one_cpu", "grad_on"])
-    def test_plain_loop(self, monkeypatch, cpus, grad):
+    def test_graph_free_units_run_at_once_under_no_grad(self, monkeypatch):
+        self.two_units_meet(monkeypatch, grad=False)
+
+    def test_grad_on_units_run_at_once(self, monkeypatch):
+        self.two_units_meet(monkeypatch, grad=True)
+
+    @pytest.mark.parametrize("grad", [False, True], ids=["one_cpu", "one_cpu_grad_on"])
+    def test_plain_loop(self, monkeypatch, grad):
         seen = []
         out = self.run(lambda x: seen.append((threading.get_ident(), T.grad_enabled())) or x,
-                       range(4), cpus, monkeypatch, grad=grad)
+                       range(4), 1, monkeypatch, grad=grad)
         assert out == [0, 1, 2, 3]
         assert seen == [(threading.get_ident(), grad)] * 4
+
+    def test_folds_run_one_at_a_time_in_input_order(self, monkeypatch):
+        meet = threading.Barrier(2, timeout=10)  # the first two units overlap
+        lock, live, peak, folded = threading.Lock(), [0], [0], []
+
+        def unit(x):
+            if x < 2:
+                meet.wait()
+            time.sleep(0.004 * ((x + 1) % 2))  # odd units finish first
+            return x
+
+        def fold(x):
+            with lock:
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+            time.sleep(0.001)
+            folded.append(x)
+            with lock:
+                live[0] -= 1
+            return -x
+
+        assert self.run(unit, range(8), 2, monkeypatch, fold=fold) == [-x for x in range(8)]
+        assert folded == list(range(8))
+        assert peak[0] == 1
+
+    def test_failing_fold_stops_later_folds(self, monkeypatch):
+        class FoldFailed(Exception):
+            pass
+
+        folded = []
+
+        def fold(x):
+            if x == 3:
+                raise FoldFailed(x)
+            folded.append(x)
+            return x
+
+        start = threading.active_count()
+        with pytest.raises(FoldFailed) as info:
+            self.run(lambda x: x, range(10), 2, monkeypatch, fold=fold)
+        assert info.value.args == (3,)
+        assert folded == [0, 1, 2]
+        assert threading.active_count() == start
+
+    def test_at_most_one_unit_per_cpu_until_its_fold(self, monkeypatch):
+        lock, live, peak, threads = threading.Lock(), [0], [0], set()
+
+        def unit(x):
+            with lock:
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+                threads.add(threading.get_ident())
+            return x
+
+        def fold(x):
+            time.sleep(0.003 * (x % 2))  # a unit is in flight until its fold is done
+            with lock:
+                live[0] -= 1
+            return x
+
+        assert self.run(unit, range(12), 3, monkeypatch, fold=fold) == list(range(12))
+        assert peak[0] <= 3 and len(threads) <= 3
 
     def test_at_most_one_unit_per_cpu_and_per_item(self, monkeypatch):
         lock, live, peak, threads = threading.Lock(), [0], [0], set()
