@@ -180,7 +180,7 @@ def run_sft(params: ModelParams, config: ModelConfig,
             tokens_seen += sum(len(x) for x, _ in batch)
             if not usable:
                 continue
-            lr = cosine_lr(min(tokens_seen, total_tokens), schedule)
+            lr = cosine_lr(tokens_seen, schedule)
             parts = [partial(sft_loss, config=config, examples=[example]) for example in usable]
             train_loss = optimize(parts, opt, lr, params)
             log_step(records, {"step": opt.step_count, "tokens_seen": tokens_seen,

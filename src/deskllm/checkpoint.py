@@ -9,7 +9,7 @@ Layout, all integers little-endian:
                    config:  the model configuration fields
                    tensors: [{name, dtype, shape, offset, nbytes}, ...]
                    extra:   scalar metadata (step counts, token counts)
-    ...          payload: raw tensor bytes at the listed offsets
+    ...          payload: each tensor's bytes, back to back in table order
     last 32      SHA-256 of header JSON + payload
 
 Optimizer moments are stored beside the weights as "optim.m.<name>" and
@@ -93,11 +93,12 @@ def save_checkpoint(path, config: ModelConfig, tensors: dict[str, np.ndarray],
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint, streaming each tensor into its own array.
 
-    The header is checked against the file size before any tensor array
-    is allocated, and every byte is hashed on a helper thread once it is
-    read. A file whose digest does not match raises "checksum mismatch"
-    first, even when its header is bad too; a bad header raises only once
-    the digest matched.
+    The tensor table must tile the payload as save_checkpoint writes it,
+    each entry starting where the one before ends; that is checked before
+    any tensor array is allocated. Every byte is hashed on a helper thread
+    once it is read. A file whose digest does not match raises "checksum
+    mismatch" first, even when its header is bad too; a bad header raises
+    only once the digest matched.
     """
     with open(path, "rb", buffering=0) as f:
         size = os.fstat(f.fileno()).st_size
@@ -120,7 +121,7 @@ def load_checkpoint(path) -> Checkpoint:
             header_error = None
         with _Sha256() as sha:
             sha.update(header_json)
-            tensors = _read_payload(f, sha, 16 + hlen, payload_len, entries)
+            tensors = _read_payload(f, sha, payload_len, entries)
             if _read_exact(f, 32) != sha.digest():
                 raise CheckpointError(f"{path}: checksum mismatch")
     if header_error is not None:
@@ -153,8 +154,8 @@ def _fill(f, view: memoryview) -> None:
 
 
 def _parse_header(path, header_json: bytes, payload_len: int) -> tuple[dict, list]:
-    """The header and its (name, dtype, shape, offset) entries, each checked
-    to lie inside a payload of `payload_len` bytes."""
+    """The header and its (name, dtype, shape) entries, checked to tile a
+    payload of `payload_len` bytes in table order."""
     try:
         header = json.loads(header_json)
     except ValueError as e:  # not UTF-8 or not JSON
@@ -163,7 +164,7 @@ def _parse_header(path, header_json: bytes, payload_len: int) -> tuple[dict, lis
             and isinstance(header.get("config"), dict) and isinstance(header.get("extra", {}), dict)):
         raise CheckpointError(f"{path}: header needs a tensors list, a config object "
                               "and, if any, an extra object")
-    entries, names = [], set()
+    entries, names, end = [], set(), 0
     for i, e in enumerate(header["tensors"]):
         if not isinstance(e, dict):
             raise CheckpointError(f"{path}: tensor #{i} is not an object")
@@ -181,61 +182,39 @@ def _parse_header(path, header_json: bytes, payload_len: int) -> tuple[dict, lis
             raise CheckpointError(f"{where}: shape, offset and nbytes must hold ints >= 0")
         if nbytes != math.prod(shape) * np.dtype(dtype).itemsize:
             raise CheckpointError(f"{where}: nbytes {nbytes} does not fit shape {shape}")
-        if offset + nbytes > payload_len:
-            raise CheckpointError(f"{where} extends past payload")
+        if offset != end:
+            raise CheckpointError(f"{where} starts at byte {offset}, not at {end}")
         if name in names:
             raise CheckpointError(f"{where} is listed twice")
         names.add(name)
-        entries.append((name, dtype, shape, offset))
+        entries.append((name, dtype, shape))
+        end += nbytes
+    if end != payload_len:
+        raise CheckpointError(f"{path}: the tensors end at byte {end}, the payload at {payload_len}")
     return header, entries
 
 
-def _read_payload(f, sha: _Sha256, start: int, payload_len: int,
-                  entries) -> dict[str, np.ndarray]:
-    """Hash the payload front to back, reading each entry's bytes straight
-    into a new array. Entries may come in any offset order, and may leave
-    gaps or overlap; the bytes of a gap are hashed through scratch
-    buffers, and a byte that two entries share is hashed once."""
+def _read_payload(f, sha: _Sha256, payload_len: int, entries) -> dict[str, np.ndarray]:
+    """Read the payload front to back, each entry's bytes straight into a
+    new array in spans of at most _CHUNK, and hand every span to the hash.
+    With no entries (a bad header) the bytes pass through one scratch
+    span, refilled only once its hash is done."""
     arrays: dict[str, np.ndarray] = {}
-    pos = 0  # payload bytes handed to the hash so far
-    for name, dtype, shape, offset in sorted(entries, key=lambda e: e[3]):
+    for name, dtype, shape in entries:
         arr = np.empty(shape, dtype=np.dtype(dtype))
         raw = memoryview(arr.reshape(-1).view(np.uint8))
-        pos = _hash_span(f, sha, start, pos, offset)
-        f.seek(start + offset)
-        hashed = min(pos - offset, len(raw))  # bytes an earlier entry shares
-        _fill(f, raw[:hashed])
-        for i in range(hashed, len(raw), _CHUNK):
+        for i in range(0, len(raw), _CHUNK):
             chunk = raw[i:i + _CHUNK]
             _fill(f, chunk)
             sha.update(chunk)
-        pos = max(pos, offset + len(raw))
         arrays[name] = arr
-    _hash_span(f, sha, start, pos, payload_len)
-    f.seek(start + payload_len)
-    return {name: arrays[name] for name, *_ in entries}
-
-
-def _hash_span(f, sha: _Sha256, start: int, pos: int, end: int) -> int:
-    """Hash payload bytes [pos, end) when pos < end; returns max(pos, end).
-    The bytes pass through two scratch buffers in turn, and a buffer is
-    read into again only once its last span has been hashed."""
-    if pos >= end:
-        return pos
-    f.seek(start + pos)
-    size = min(end - pos, _CHUNK)
-    scratch = [memoryview(bytearray(size)), memoryview(bytearray(size))]
-    hashed: list[Future | None] = [None, None]
-    turn = 0
-    while pos < end:
-        if hashed[turn] is not None:
-            hashed[turn].result()
-        chunk = scratch[turn][:min(size, end - pos)]
-        _fill(f, chunk)
-        hashed[turn] = sha.update(chunk)
-        pos += len(chunk)
-        turn ^= 1
-    return pos
+    if not entries:
+        scratch = memoryview(bytearray(min(payload_len, _CHUNK)))
+        for pos in range(0, payload_len, _CHUNK):
+            chunk = scratch[:payload_len - pos]
+            _fill(f, chunk)
+            sha.update(chunk).result()
+    return arrays
 
 
 class _Sha256:

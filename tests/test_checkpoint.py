@@ -346,39 +346,63 @@ class TestBadTensorTable:
 
 
 class TestStreamingLoad:
-    """The loader reads each tensor straight into its own array."""
+    """The loader reads each tensor straight into its own array, front to
+    back; the table must tile the payload as save_checkpoint writes it."""
 
     def tensors(self):
         rng = np.random.default_rng(15)
         return {"a": rng.standard_normal((3, 5)), "b": rng.standard_normal(7).astype(np.float32),
                 "c": np.array(1.5), "d": np.zeros((0, 4))}
 
-    @pytest.mark.parametrize("edit", [
-        lambda t: t.reverse(),                                     # offsets out of order
-        lambda t: t.pop(1),                                        # a gap in the payload
-        lambda t: t.append(dict(t[0], name="a_again")),            # two entries share bytes
-        lambda t: t.append(dict(t[0], name="a_tail", shape=[2, 5], nbytes=80,
-                                offset=t[0]["offset"] + 40)),      # entries overlap in part
-    ], ids=["out_of_order", "gap", "shared", "overlap"])
-    def test_any_table_layout_loads(self, tmp_path, edit):
+    @pytest.mark.parametrize("edit, fault", [
+        (lambda t: t.reverse(), "tensor 'd' starts at"),          # offsets out of order
+        (lambda t: t.pop(1), "tensor 'c' starts at"),             # a gap in the payload
+        (lambda t: t.append(dict(t[0], name="a_again")),
+         "tensor 'a_again' starts at"),                           # two entries share bytes
+        (lambda t: t.append(dict(t[0], name="a_tail", shape=[2, 5], nbytes=80,
+                                 offset=t[0]["offset"] + 40)),
+         "tensor 'a_tail' starts at"),                            # entries overlap in part
+        (lambda t: t.__delitem__(slice(2, None)), "the tensors end at"),       # bytes left over
+        (lambda t: t[3].update(shape=[1, 4], nbytes=32), "the tensors end at"),  # runs past the end
+    ], ids=["out_of_order", "gap", "shared", "overlap", "short", "past_end"])
+    def test_untiled_table_rejected(self, tmp_path, edit, fault):
         cfg, _ = tiny_model(seed=15)
-        tensors = self.tensors()
         path = tmp_path / "layout.dkpt"
-        save_checkpoint(path, cfg, tensors)
-        table = []
+        save_checkpoint(path, cfg, self.tensors())
+        _rewrite_header(path, lambda header: edit(header["tensors"]))
+        with pytest.raises(CheckpointError, match=f"layout.dkpt: {fault}"):
+            load_checkpoint(path)
 
-        def rewrite(header):
-            edit(header["tensors"])
-            table.extend(e["name"] for e in header["tensors"])
+    def test_huge_entry_rejected_before_allocation(self, tmp_path):
+        cfg, _ = tiny_model(seed=15)
+        path = tmp_path / "huge.dkpt"
+        save_checkpoint(path, cfg, self.tensors())
+        _rewrite_header(path, lambda h: h["tensors"][3].update(shape=[1 << 37], nbytes=1 << 40))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="huge.dkpt: the tensors end at"):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
-        _rewrite_header(path, rewrite)
-        loaded = load_checkpoint(path).tensors
-        assert list(loaded) == table
-        flat_a = tensors["a"].reshape(-1)
-        want = dict(tensors, a_again=tensors["a"], a_tail=flat_a[5:].reshape(2, 5))
-        for name, arr in loaded.items():
-            assert arr.dtype == want[name].dtype and arr.shape == want[name].shape
-            assert arr.tobytes() == want[name].tobytes()
+    def test_untiled_table_checksummed_first(self, tmp_path):
+        """A bad table is the one case whose payload is hashed through
+        scratch spans; the spans past the first count too."""
+        cfg, _ = tiny_model(seed=15)
+        path = tmp_path / "untiled.dkpt"
+        save_checkpoint(path, cfg, {"a": np.arange(5 << 16, dtype=np.float64),  # 2.5 MiB
+                                    "b": np.ones(3)})
+        _rewrite_header(path, lambda h: h["tensors"].pop(0))
+        with pytest.raises(CheckpointError, match="untiled.dkpt: tensor 'b' starts at"):
+            load_checkpoint(path)
+        raw = bytearray(path.read_bytes())
+        hlen = struct.unpack("<Q", raw[8:16])[0]
+        raw[16 + hlen + (1 << 20) + 8] ^= 0xFF  # a payload byte in the second span
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
+            load_checkpoint(path)
 
     def test_peak_memory_holds_the_tensors_once(self, tmp_path):
         cfg, _ = tiny_model(seed=16)
@@ -410,12 +434,10 @@ class TestHashThread:
     def test_spans_past_one_mib_load(self, tmp_path):
         cfg, _ = tiny_model(seed=18)
         rng = np.random.default_rng(18)
-        tensors = {"gap": rng.standard_normal(3 << 17),    # 3 MiB, dropped: a gap
-                   "big": rng.standard_normal(5 << 16),    # 2.5 MiB
+        tensors = {"big": rng.standard_normal(5 << 16),    # 2.5 MiB: three spans
                    "small": rng.standard_normal(3)}
         path = tmp_path / "spans.dkpt"
         save_checkpoint(path, cfg, tensors)
-        _rewrite_header(path, lambda h: h["tensors"].pop(0))
         loaded = load_checkpoint(path).tensors
         assert list(loaded) == ["big", "small"]
         for name, arr in loaded.items():
@@ -458,13 +480,20 @@ class TestHashThread:
         def failing_fill(f, view):
             if len(view) == 1 << 20:
                 spans.append(view)
-                if len(spans) == 2:  # the first span is being hashed
+                if len(spans) == 2:
                     raise CheckpointError(f"{f.name}: file shrank while it was read")
             fill(f, view)
 
         monkeypatch.setattr(checkpoint, "_fill", failing_fill)
         with pytest.raises(CheckpointError, match="file shrank"):
-            load_checkpoint(path)
+            load_checkpoint(path)  # while the first span of the tensor is hashed
+        assert len(spans) == 2
+        assert threading.active_count() == threads
+
+        spans.clear()
+        _replace_header(path, b"[]")
+        with pytest.raises(CheckpointError, match="file shrank"):
+            load_checkpoint(path)  # on the second scratch span of a bad header
         assert len(spans) == 2
         assert threading.active_count() == threads
 
