@@ -7,6 +7,8 @@ the caller's arrays and need no grad, so it is frozen by construction and
 never copied. `sequence_logprob` scores a pair's chosen and rejected
 responses in one prefix-shared forward, so each pair costs one reference
 forward, computed once and cached, and one policy forward per epoch.
+Multiple choice (`evals.mc_score`) scores its choices through the same
+function, under `no_grad`.
 """
 
 from __future__ import annotations
@@ -82,16 +84,14 @@ def sequence_logprob(params: ModelParams, config: ModelConfig, prompt_ids,
     """Summed log-probability of each response given the prompt.
 
     One prefix-shared forward scores them all: the prompt runs once and
-    each response is a branch of it (`model.branch_layout`). Each prompt
-    + response must fit max_context; together they may exceed it. An
-    empty response scores 0.
+    each response is a branch of it (`model.branch_layout`). The one
+    context rule is the forward's position bound: a response's last token
+    is scored, never forwarded, so each prompt + response may be
+    max_context + 1 tokens, and together they may be longer. An empty
+    response scores 0.
     """
     responses = [np.asarray(r, dtype=np.int64) for r in responses]
     ids, segments, rows = branch_layout(prompt_ids, responses)
-    total = np.size(prompt_ids) + max((r.size for r in responses), default=0)
-    if total > config.max_context:
-        raise ValueError(f"prompt+response of {total} tokens exceeds context "
-                         f"{config.max_context}")
     logits = forward(params, ids, config, segments=segments)
     # T.embedding gathers the scoring rows (the prompt's last row scores
     # every response's first token) and scatter-adds their grads.

@@ -7,18 +7,17 @@ training. Generation feeds each new token after the cached ones in a
 preallocated KV cache (`model.DecodeSession`) and must pick the same
 tokens as recomputing the full forward pass each step, which the tests
 assert. Multiple choice scores the rendered prompt and all its choices
-in one prefix-shared forward (`model.branch_layout`): the prompt runs
-once and the choices ride along as branches that cannot see each other.
-It stays off `batch_loss`, since one row scores every choice's first
-token and its log-softmax is taken in f64 rather than in the model
-dtype. Evaluation takes no adapters; score a LoRA policy through
-`dpo.lora_merge`. The weights carry the fp8 request: given
-`model.fp8_weights(params)`, rounded once by the caller, every call here
-runs in fp8 and rounds no weight again. `perplexity(fp8=True)` rounds
-them itself, once per call. Perplexity windows and multiple-choice tasks
-are independent graph-free forwards, which `tensor.each` runs one per
-usable CPU at a time; results are folded in input order, so they do not
-depend on the CPU count. Generation runs one token after another.
+through `dpo.sequence_logprob`, the scorer DPO trains with: one
+prefix-shared forward in which the prompt runs once and the choices ride
+along as branches that cannot see each other. Evaluation takes no
+adapters; score a LoRA policy through `dpo.lora_merge`. The weights
+carry the fp8 request: given `model.fp8_weights(params)`, rounded once
+by the caller, every call here runs in fp8 and rounds no weight again.
+`perplexity(fp8=True)` rounds them itself, once per call. Perplexity
+windows and multiple-choice tasks are independent graph-free forwards,
+which `tensor.each` runs one per usable CPU at a time; results are
+folded in input order, so they do not depend on the CPU count.
+Generation runs one token after another.
 """
 
 from __future__ import annotations
@@ -26,13 +25,14 @@ from __future__ import annotations
 import math
 import string
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .data import pack_sequences, read_jsonl, write_jsonl
+from .dpo import sequence_logprob
 from .errors import ConfigError
-from .model import DecodeSession, ModelConfig, ModelParams, branch_layout, forward, fp8_weights
+from .model import DecodeSession, ModelConfig, ModelParams, forward, fp8_weights
 from .pretrain import batch_loss
 from .tensor import IGNORE_INDEX, each, no_grad
 from .tokenizer import Vocab, decode, encode
@@ -122,30 +122,15 @@ def mc_pick(logprobs: Sequence[float], choices: Sequence[str]) -> tuple[int, int
     return int(np.argmax(lp)), int(np.argmax(lp / lens))
 
 
-def mc_score(params, config, task: MCTask, vocab: Vocab | None = None, *, k: int = 0,
-             seed: int = 0, logprob_fn: Callable[[str, str], float] | None = None) -> dict:
-    """Score one task; `logprob_fn(prompt_text, choice_text)` overrides the
-    model path (used for fixtures and statistical oracles).
-
-    The model path makes one no-grad forward: the prompt, then every
-    choice but its last token as a branch of it (`model.branch_layout`).
-    A choice's first token is scored by the prompt's last row. The
-    scoring rows then take a log-softmax in f64, not the model dtype.
-    """
-    prompt_text = few_shot_render(task, k, seed) + QUERY_SUFFIX
-    if logprob_fn is not None:
-        lps = [float(logprob_fn(prompt_text, c)) for c in task.choices]
-    else:
-        prompt_ids = encode(prompt_text, vocab)
-        choice_ids = [encode(c, vocab) for c in task.choices]
-        ids, segments, rows = branch_layout(prompt_ids, choice_ids)
-        with no_grad():
-            logits = forward(params, ids, config, segments=segments).data
-        first = len(prompt_ids) - 1  # rows before the prompt's last score no choice
-        z = logits[first:].astype(np.float64)
-        z -= z.max(axis=-1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-        lps = [float(logp[r - first, c].sum()) for r, c in zip(rows, choice_ids)]
+def mc_score(params, config, task: MCTask, vocab: Vocab, *, k: int = 0,
+             seed: int = 0) -> dict:
+    """Score one task: each choice's summed log-prob after the rendered
+    prompt, in the model dtype, from one no-grad `dpo.sequence_logprob`
+    call, whose context rule applies to each prompt + choice."""
+    prompt_ids = encode(few_shot_render(task, k, seed) + QUERY_SUFFIX, vocab)
+    with no_grad():
+        lps = [float(lp.item()) for lp in sequence_logprob(
+            params, config, prompt_ids, [encode(c, vocab) for c in task.choices])]
     acc_pick, acc_norm_pick = mc_pick(lps, task.choices)
     return {"acc_pick": acc_pick, "acc_norm_pick": acc_norm_pick,
             "acc_correct": acc_pick == task.gold,
@@ -269,14 +254,13 @@ def load_tasks(path) -> tuple[list[MCTask], list[EMTask]]:
 
 
 def evaluate_tasks(params, config, tasks: Sequence[MCTask], vocab: Vocab, *, k: int = 0,
-                   seed: int = 0, logprob_fn=None) -> tuple[list[dict], dict]:
+                   seed: int = 0) -> tuple[list[dict], dict]:
     """Per-task records plus aggregate accuracies; order-independent.
 
-    The tasks are scored concurrently (`tensor.each`) under `no_grad`, so
-    a `logprob_fn` must be safe to call from several threads.
+    The tasks are scored concurrently (`tensor.each`) under `no_grad`.
     """
     def score(task: MCTask) -> dict:
-        result = mc_score(params, config, task, vocab, k=k, seed=seed, logprob_fn=logprob_fn)
+        result = mc_score(params, config, task, vocab, k=k, seed=seed)
         result["question"] = task.question
         return result
 

@@ -137,8 +137,8 @@ def batch_loss(params: ModelParams, config: ModelConfig, examples) -> Tensor:
     """Mean next-token cross-entropy over (inputs, targets) examples.
 
     The package's one forward-then-cross-entropy: pretrain, SFT and
-    perplexity all score through it. (DPO and multiple choice score
-    several continuations of one prompt in one prefix-shared forward.)
+    perplexity all score through it. (DPO and multiple choice score a
+    prompt's continuations in one prefix-shared `dpo.sequence_logprob`.)
     Examples may differ in length, and targets hold IGNORE_INDEX on
     unscored rows. The result is the mean of per-example means; packed
     windows all score seq_len - 1 rows, so for them it is the

@@ -217,8 +217,9 @@ class TestPrefixSharedScorer:
             want = [float(separate_logprob(params, cfg, prompt_ids, r).item())
                     for r in (chosen, rejected)]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        # a reply's last token is never forwarded: max_context + 1 fits, + 2 does not
         with pytest.raises(ValueError):
-            sequence_logprob(params, cfg, prompt_ids, [chosen, [1, 2, 3, 4, 5]])
+            sequence_logprob(params, cfg, prompt_ids, [chosen, [1, 2, 3, 4, 5, 6]])
 
 
 class TestLoraAdapters:

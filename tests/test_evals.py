@@ -8,14 +8,14 @@ import re
 import numpy as np
 import pytest
 
-from deskllm import model
+from deskllm import evals, model
 from deskllm.errors import ConfigError
 from deskllm.evals import (DecodeSession, EMTask, MCTask, apply_repetition_penalty,
                            evaluate_em_tasks, evaluate_tasks, exact_match,
                            few_shot_render, generate, generate_text, load_tasks,
                            mc_pick, mc_score, perplexity, save_results)
 from deskllm.data import write_jsonl
-from deskllm.dpo import init_lora_adapters, lora_merge
+from deskllm.dpo import init_lora_adapters, lora_merge, sequence_logprob
 from deskllm.model import forward, fp8_weights
 from deskllm.optim import AdamW
 from deskllm.pretrain import batch_loss
@@ -156,26 +156,18 @@ class TestMCScore:
         assert out["logprobs"][0] == out["logprobs"][1]
 
     def test_injected_fixture(self):
-        lps = {"a": -1.0, "abcd": -2.0}
-        task = MCTask("q", ("a", "abcd"), gold=1)
-        out = mc_score(None, None, task, None, logprob_fn=lambda p, c: lps[c])
-        assert out["acc_pick"] == 0 and not out["acc_correct"]
-        assert out["acc_norm_pick"] == 1 and out["acc_norm_correct"]
+        acc_pick, acc_norm_pick = mc_pick([-1.0, -2.0], ("a", "abcd"))
+        assert acc_pick == 0  # raw argmax
+        assert acc_norm_pick == 1  # per byte: -2/4 beats -1/1
 
     def test_pick_distribution_uniform_under_random_scores(self):
         rng = np.random.default_rng(7)
-        tasks = []
-        scores = {}
-        for _ in range(1000):
-            choices = tuple(rng.bytes(4).hex() for _ in range(4))  # equal byte lengths
-            for c in choices:
-                scores[c] = float(rng.normal())
-            tasks.append(MCTask("q", choices, gold=0))
         counts = np.zeros(4, dtype=int)
-        for task in tasks:
-            out = mc_score(None, None, task, None, logprob_fn=lambda p, c: scores[c])
-            counts[out["acc_pick"]] += 1
-            assert out["acc_norm_pick"] == out["acc_pick"]  # equal lengths
+        for _ in range(1000):
+            choices = [rng.bytes(4).hex() for _ in range(4)]  # equal byte lengths
+            acc_pick, acc_norm_pick = mc_pick([rng.normal() for _ in choices], choices)
+            counts[acc_pick] += 1
+            assert acc_norm_pick == acc_pick  # equal lengths
         sigma = math.sqrt(1000 * 0.25 * 0.75)
         assert np.all(np.abs(counts - 250) < 4 * sigma)
 
@@ -234,6 +226,38 @@ class TestPrefixSharedMC:
         got = mc_score(params, cfg, task, vocab)["logprobs"]
         want = full_forward_logprobs(params, cfg, prompt_ids, task.choices, vocab)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("mode", ["plain", "fp8"])
+    def test_mc_score_is_sequence_logprob(self, mode):
+        # f32, where a log-softmax in another dtype would show
+        cfg, params = tiny_model(seed=25, dtype="f32", vocab_size=259, sliding_window=8)
+        vocab = byte_fallback_vocab()
+        weights = fp8_weights(params) if mode == "fp8" else params
+        prompt_ids = encode(few_shot_render(self.TASK, 2, seed=3) + "\n", vocab)
+        with no_grad():
+            want = [float(lp.item()) for lp in sequence_logprob(
+                weights, cfg, prompt_ids, [encode(c, vocab) for c in self.TASK.choices])]
+        got = mc_score(weights, cfg, self.TASK, vocab, k=2, seed=3)["logprobs"]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_mc_and_dpo_share_one_context_rule(self):
+        # prompt + choice of max_context + 1 tokens scores; one more raises
+        cfg, params = tiny_model(seed=26, vocab_size=259, max_context=16)
+        vocab = byte_fallback_vocab()
+        task = MCTask("twelve chars", ("abcd", "x"), gold=0)
+        prompt_ids = encode(task.question + "\n", vocab)
+        assert len(prompt_ids) + len(encode("abcd", vocab)) == cfg.max_context + 1
+        want = full_forward_logprobs(params, cfg, prompt_ids, task.choices, vocab)
+        with no_grad():
+            dpo = [float(lp.item()) for lp in sequence_logprob(
+                params, cfg, prompt_ids, [encode(c, vocab) for c in task.choices])]
+        np.testing.assert_allclose(dpo, want, rtol=0, atol=1e-10)
+        got = mc_score(params, cfg, task, vocab)["logprobs"]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+        with pytest.raises(ValueError):
+            sequence_logprob(params, cfg, prompt_ids, [encode("abcde", vocab)])
+        with pytest.raises(ValueError):
+            mc_score(params, cfg, MCTask(task.question, ("abcde", "x"), gold=0), vocab)
 
     def test_one_forward_per_task(self, monkeypatch):
         cfg, params = tiny_model(seed=22, vocab_size=259, sliding_window=8)
@@ -520,14 +544,20 @@ class TestTaskFilesAndReports:
         assert (np.array([lp for r in runs[1][0] for lp in r["logprobs"]]).tobytes()
                 == np.array([lp for r in runs[2][0] for lp in r["logprobs"]]).tobytes())
 
-    def test_evaluate_tasks_aggregates_and_order_independence(self):
+    def test_evaluate_tasks_aggregates_and_order_independence(self, monkeypatch):
         lps = {"a": -1.0, "abcd": -2.0, "x": -5.0, "y": -1.0}
         tasks = [MCTask("q1", ("a", "abcd"), gold=1),
                  MCTask("q2", ("x", "y"), gold=1)]
-        fn = lambda p, c: lps[c]
-        recs, agg = evaluate_tasks(None, None, tasks, None, logprob_fn=fn)
+
+        def fixed_mc_score(params, config, task, vocab, *, k, seed):
+            acc_pick, acc_norm_pick = mc_pick([lps[c] for c in task.choices], task.choices)
+            return {"acc_correct": acc_pick == task.gold,
+                    "acc_norm_correct": acc_norm_pick == task.gold}
+
+        monkeypatch.setattr(evals, "mc_score", fixed_mc_score)
+        recs, agg = evaluate_tasks(None, None, tasks, None)
         assert agg == {"acc": 0.5, "acc_norm": 1.0, "n_tasks": 2}
-        recs_r, agg_r = evaluate_tasks(None, None, tasks[::-1], None, logprob_fn=fn)
+        recs_r, agg_r = evaluate_tasks(None, None, tasks[::-1], None)
         assert agg_r == agg
         by_q = {r["question"]: r for r in recs}
         for r in recs_r:
