@@ -21,7 +21,7 @@ from .data import read_jsonl, write_jsonl
 from .errors import PATH, POSITIVE, check, count, number
 from .model import ModelConfig, ModelParams
 from .optim import AdamW, LrSchedule, cosine_lr
-from .pretrain import batch_loss, log_step, no_decay_names, optimize
+from .pretrain import batch_loss, log_step, optimize
 from .tensor import IGNORE_INDEX, Tensor
 from .tokenizer import Vocab, byte_fallback_vocab, encode
 
@@ -168,7 +168,7 @@ def run_sft(params: ModelParams, config: ModelConfig,
         total_tokens=float(total_tokens),
         peak_lr=plan.lr,
         min_lr=plan.lr * plan.min_lr_fraction)
-    opt = AdamW(params.named_tensors(), no_decay=no_decay_names(params))  # default OptimHyper
+    opt = AdamW(params.named_tensors(), no_decay=params.norm_names())  # default OptimHyper
     records: list[dict] = []
     tokens_seen = 0
     for epoch in range(plan.epochs):

@@ -178,13 +178,10 @@ def pack_sequences(token_docs: Iterable[Sequence[int]], seq_len: int,
     for doc in token_docs:
         buf.extend(int(t) for t in doc)
         buf.append(int(eos_id))
-        while len(buf) >= seq_len:
-            window = np.array(buf[:seq_len], dtype=np.int64)
-            del buf[:seq_len]
-            targets = np.empty(seq_len, dtype=np.int64)
-            targets[:-1] = window[1:]
-            targets[-1] = IGNORE_INDEX
-            yield window, targets
+        for lo in range(0, len(buf) - seq_len + 1, seq_len):
+            window = np.array(buf[lo:lo + seq_len], dtype=np.int64)
+            yield window, np.append(window[1:], IGNORE_INDEX)
+        del buf[:len(buf) - len(buf) % seq_len]  # once per doc: linear in its length
 
 
 # ---------------------------------------------------------------------------

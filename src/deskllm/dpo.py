@@ -33,21 +33,16 @@ LORA_INIT_STD = 0.02
 DPO_HYPER = OptimHyper(weight_decay=0.0)  # adapters are not decayed
 
 
-def lora_target_names(params: ModelParams) -> list[str]:
-    """Attention and MLP linear weights, the adapter target set."""
-    return [name for name in params.named_tensors()
-            if ".attn." in name or ".mlp." in name]
-
-
 def init_lora_adapters(params: ModelParams, rank: int = 4, alpha: float = 16.0,
                        seed: int = 0) -> dict[str, LoraAdapter]:
-    """One adapter per target linear: A ~ N(0, 0.02), B = 0."""
+    """One adapter per `params.linear_names()`, drawn in that order:
+    A ~ N(0, 0.02), B = 0."""
     if rank < 1:
         raise ConfigError(f"rank must be >= 1, got {rank}")
     rng = np.random.default_rng(seed)
     named = params.named_tensors()
     adapters: dict[str, LoraAdapter] = {}
-    for name in lora_target_names(params):
+    for name in params.linear_names():
         w = named[name]
         d_in, d_out = w.shape
         a = rng.normal(0.0, LORA_INIT_STD, size=(d_in, rank)).astype(w.dtype)

@@ -55,8 +55,6 @@ def perplexity(params: ModelParams, config: ModelConfig, token_docs, seq_len: in
     Python floats, in window order, rather than in the model dtype.
     fp8=True is the same as passing `fp8_weights(params)`: one rounding per call.
     """
-    if seq_len > config.max_context:
-        raise ValueError(f"seq_len {seq_len} exceeds context {config.max_context}")
     windows = list(pack_sequences(token_docs, seq_len, eos_id))
     total_nll, scored = 0.0, 0
     with no_grad():

@@ -4,8 +4,10 @@ One code path instantiates both the reference 1.8B shape and tiny test
 shapes: untied embeddings, RMSNorm, rotary position embeddings, optional
 sliding-window causal masking, grouped-query attention, and a gated
 (silu) MLP. No biases and no dropout anywhere; neither is configurable.
-Only this module knows the parameter layout: `LAYER_KEYS`, `param_shapes`
-and `ModelParams.build`, which makes tensors in `named_tensors` order.
+Only this module knows the parameter layout (`LAYER_KEYS`, `param_shapes`,
+`ModelParams.build`, in `named_tensors` order) and its two roles:
+`linear_names`, the attention and MLP matrices that LoRA adapts and fp8
+rounds, and `norm_names`, the norm scales that AdamW does not decay.
 LoRA and fp8 only reparametrize weights (`lora_weights`, `fp8_weights`);
 blocks read plain ones; a forward given `Fp8Params` rounds each sublayer's input.
 `DecodeSession` caches one model's rotated keys and values, and setting
@@ -95,8 +97,9 @@ def config_1p8b_v2(vocab_size: int = 32000) -> ModelConfig:
 
 
 # Block tensor names after "layers.<i>."; the last dotted part is the LayerParams field.
-LAYER_KEYS = ("attn.wq", "attn.wk", "attn.wv", "attn.wo",
-              "mlp.w_gate", "mlp.w_up", "mlp.w_down", "norm_attn", "norm_mlp")
+LINEAR_KEYS = ("attn.wq", "attn.wk", "attn.wv", "attn.wo", "mlp.w_gate", "mlp.w_up", "mlp.w_down")
+NORM_KEYS = ("norm_attn", "norm_mlp")
+LAYER_KEYS = LINEAR_KEYS + NORM_KEYS
 
 
 @dataclass
@@ -136,6 +139,15 @@ class ModelParams:
                 out[f"layers.{i}.{key}"] = getattr(layer, key.rsplit(".", 1)[-1])
         out.update(final_norm=self.final_norm, lm_head=self.lm_head)
         return out
+
+    def linear_names(self) -> list[str]:
+        """The attention and MLP weight matrices, in named_tensors order."""
+        return [f"layers.{i}.{key}" for i in range(len(self.layers)) for key in LINEAR_KEYS]
+
+    def norm_names(self) -> list[str]:
+        """The norm scales, in named_tensors order."""
+        return [f"layers.{i}.{key}" for i in range(len(self.layers))
+                for key in NORM_KEYS] + ["final_norm"]
 
     @property
     def dtype(self) -> np.dtype:
@@ -236,21 +248,17 @@ def lora_weights(params: ModelParams, adapters: dict[str, LoraAdapter]) -> Model
 
 
 def fp8_weights(params: ModelParams) -> Fp8Params:
-    """The fp8 reparametrization: each attention and MLP weight matrix
-    rounded to E4M3, with gradients passed straight through; the
-    embedding, norm and lm_head weights are the caller's own tensors.
+    """The fp8 reparametrization: each of `params.linear_names()` rounded
+    to E4M3, with gradients passed straight through; the embedding, norm
+    and lm_head weights are the caller's own tensors.
     A forward given the result runs in fp8, the only way to ask for it.
     Fp8Params come back as they are. They are a snapshot: a later
     in-place update of params does not reach them."""
     if isinstance(params, Fp8Params):
         return params
     named = params.named_tensors()
-
-    def weight(name: str) -> Tensor:
-        w = named[name]
-        return fp8_emulate(w) if name.startswith("layers.") and "norm" not in name else w
-
-    return Fp8Params.build(len(params.layers), weight)
+    named.update((name, fp8_emulate(named[name])) for name in params.linear_names())
+    return Fp8Params.build(len(params.layers), named.__getitem__)
 
 
 def linear(x: Tensor, w: Tensor, *, fp8: bool = False) -> Tensor:

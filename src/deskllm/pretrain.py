@@ -106,11 +106,6 @@ def log_step(records: list[dict], record: dict, path) -> None:
             f.write(json.dumps(record) + "\n")
 
 
-def no_decay_names(params: ModelParams) -> set[str]:
-    """Norm weights are exempt from weight decay; everything else decays."""
-    return {name for name in params.named_tensors() if "norm" in name}
-
-
 @dataclass(frozen=True)
 class TrainPlan:
     stages: Sequence[DataStage]
@@ -200,8 +195,7 @@ class Trainer:
         self.vocab = vocab
         self.val_sources = val_sources
         self.log_path = log_path
-        self.opt = AdamW(params.named_tensors(), plan.hyper,
-                         no_decay=no_decay_names(params))
+        self.opt = AdamW(params.named_tensors(), plan.hyper, no_decay=params.norm_names())
         self.tokens_seen = 0
         self.records: list[dict] = []
         self._stage_index = -1

@@ -49,7 +49,7 @@ from .pretrain import TrainPlan
 from .tokenizer import Vocab, load_vocab
 
 PRETRAIN_HYPER = {"weight_decay", "clip_norm"}
-TOKEN_ID = count(nullable=True)
+TOKEN_ID = count(0, nullable=True)
 
 
 class RunConfigError(ValueError):
@@ -289,6 +289,11 @@ def _build_run(obj, base_dir: Path, seed_override: int | None,
                       ("remap", RemapPlan)):
         if name in obj:
             run[name] = _build(cls, obj[name], name, out, base_dir)
+    model, plan = run["model"], run.get("pretrain")
+    if model is not None and plan is not None:  # cmd_pretrain trains this model on these stages
+        out.extend(f"pretrain.stages[{i}].seq_len: expected an int <= model.max_context "
+                   f"({model.max_context}), got {stage.seq_len}"
+                   for i, stage in enumerate(plan.stages) if stage.seq_len > model.max_context)
     if out:
         return None
     return RunConfig(base_dir=base_dir, run_dir=(base_dir / obj["run_dir"]).resolve(),

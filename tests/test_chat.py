@@ -283,6 +283,20 @@ class TestRunSft:
         with pytest.raises(ValueError):
             run_sft(params, cfg, convs, CHAT_VOCAB, SftPlan())
 
+    def test_optimizer_does_not_decay_the_norm_names(self, monkeypatch):
+        made = []
+
+        class SpyAdamW(chat_module.AdamW):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(chat_module, "AdamW", SpyAdamW)
+        cfg, params = tiny_model(seed=17, vocab_size=len(CHAT_VOCAB), max_context=64)
+        run_sft(params, cfg, training_conversations()[:2], CHAT_VOCAB, SftPlan(batch_size=2))
+        (opt,) = made
+        assert opt.no_decay == frozenset(params.norm_names())
+
     def test_nonfinite_loss_stops_before_any_change(self, monkeypatch):
         made = []
 

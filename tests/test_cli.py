@@ -545,6 +545,23 @@ def test_out_of_range_fields_rejected(world, capsys, key, value, expected):
     assert not (world / "ranges").exists()
 
 
+@pytest.mark.parametrize("key, value, line", [
+    ("data.eos_id", -1, "data.eos_id: expected an int >= 0 or null, got -1"),
+    ("remap.seed", -4, "remap.seed: expected an int >= 0 or null, got -4"),
+    ("pretrain.stages.seq_len", 65,
+     "pretrain.stages[0].seq_len: expected an int <= model.max_context (64), got 65"),
+], ids=["eos_id", "remap_seed", "stage_seq_len"])
+def test_values_the_run_would_reject_fail_at_load(world, capsys, key, value, line):
+    doc = _base_config("runtime")
+    doc["remap"] = {}
+    _set(doc, key, value)
+    path = world / "runtime.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["pretrain", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["invalid run config:", f"  {line}"]
+    assert not (world / "runtime").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("tie_embeddings", "false"), ("tie_embeddings", False), ("use_bias", False),
 ])

@@ -236,6 +236,10 @@ class TestLoraAdapters:
             assert adapter.scale == 4.0
             assert adapter.a.dtype == w.dtype
 
+    def test_adapters_are_the_linear_names_in_order(self):
+        _, params = tiny_model(seed=6)
+        assert list(init_lora_adapters(params, seed=0)) == params.linear_names()
+
     def test_b_starts_zero_and_a_near_init_std(self):
         cfg, params = tiny_model(seed=7, hidden_size=64, intermediate_size=96)
         adapters = init_lora_adapters(params, rank=8, seed=1)

@@ -102,6 +102,13 @@ class TestPerplexity:
         with pytest.raises(ValueError):
             perplexity(params, cfg, [[1] * 100], seq_len=32, eos_id=0)
 
+    def test_forward_holds_the_one_context_rule(self):
+        # a window of max_context tokens scores; one more fails in the forward
+        cfg, params = tiny_model(seed=4, max_context=16)
+        assert math.isfinite(perplexity(params, cfg, [[1] * 40], seq_len=16, eos_id=0))
+        with pytest.raises(ValueError, match="17 positions exceed max_context 16"):
+            perplexity(params, cfg, [[1] * 40], seq_len=17, eos_id=0)
+
     @pytest.mark.parametrize("fp8", [False, True], ids=["f32", "fp8"])
     def test_independent_of_the_cpu_count(self, monkeypatch, fp8):
         # the windows are scored concurrently, and their losses summed in order

@@ -91,6 +91,28 @@ class TestCountParams:
         assert list(param_shapes(cfg).items()) == list(shapes.items())
 
 
+class TestParamRoles:
+    def test_linear_names_are_seven_matrices_per_block_in_order(self):
+        cfg, params = tiny_model(seed=0)
+        named, names = params.named_tensors(), params.linear_names()
+        assert len(names) == 7 * cfg.n_layers
+        assert names == [name for name in named if name in set(names)]
+        assert all(named[name].data.ndim == 2 for name in names)
+        for i in range(cfg.n_layers):
+            assert sum(name.startswith(f"layers.{i}.") for name in names) == 7
+
+    def test_fp8_replaces_exactly_the_linear_names(self):
+        _, params = tiny_model(seed=1)
+        plain, rounded = params.named_tensors(), fp8_weights(params).named_tensors()
+        assert [name for name in plain if rounded[name] is not plain[name]] \
+            == params.linear_names()
+
+    def test_init_sets_exactly_the_norm_names_to_one(self):
+        params = init_params(tiny_config(), seed=2)
+        ones = [name for name, t in params.named_tensors().items() if np.all(t.data == 1)]
+        assert ones == params.norm_names()
+
+
 class TestInitParams:
     def test_truncation_and_norm_scales(self):
         cfg = tiny_config(vocab_size=512)

@@ -24,7 +24,6 @@ from deskllm.pretrain import (
     TrainingDiverged,
     batch_grads,
     batch_loss,
-    no_decay_names,
     optimize,
     shard_gradient_gap,
 )
@@ -515,13 +514,17 @@ class TestShardEquivalence:
 class TestWiring:
     def test_no_decay_covers_exactly_norms(self):
         cfg, params = tiny_model(seed=0, vocab_size=64)
-        names = no_decay_names(params)
+        names = params.norm_names()
         assert "final_norm" in names
         assert "layers.0.norm_attn" in names
         assert "layers.1.norm_mlp" in names
         assert all("norm" in n for n in names)
         assert "token_embedding" not in names
         assert len(names) == 2 * cfg.n_layers + 1
+
+    def test_trainer_does_not_decay_the_norm_names(self):
+        trainer, _, params = make_trainer()
+        assert trainer.opt.no_decay == frozenset(params.norm_names())
 
     def test_vocab_without_eos_rejected(self):
         cfg, params = tiny_model(seed=0, vocab_size=300)
