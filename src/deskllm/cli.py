@@ -15,8 +15,10 @@ config file owns every other knob. Outputs land under the config's
 Checkpoints chain by stage name: sft starts from pretrain.dkpt, dpo from
 sft.dkpt (falling back to pretrain.dkpt), and eval/generate pick the most
 aligned checkpoint present (dpo, then sft, then pretrain) unless the
-config names one explicitly. Exit codes: 0 success, 2 config rejected,
-1 runtime failure.
+config names one explicitly. Every subcommand, inspect included, exits
+0 on success, 2 when its config is rejected and 1 on a runtime failure,
+which it reports as one `error:` line on stderr (a reader that closes
+stdout early gets a quiet exit 1).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import dataclasses
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .checkpoint import (inspect_checkpoint, load_model,
@@ -59,11 +62,6 @@ def _checkpoint_dir(cfg: RunConfig) -> Path:
     return cfg.run_dir / "checkpoints"
 
 
-def _prepare_run_dir(cfg: RunConfig) -> None:
-    for sub in ("logs", "checkpoints", "results"):
-        (cfg.run_dir / sub).mkdir(parents=True, exist_ok=True)
-
-
 def _log_path(cfg: RunConfig, command: str) -> Path:
     # Step logs append record by record; start each run from an empty
     # file so a rerun reproduces the log byte for byte.
@@ -72,18 +70,24 @@ def _log_path(cfg: RunConfig, command: str) -> Path:
     return path
 
 
-def _acquire_lock(run_dir: Path) -> Path:
-    run_dir.mkdir(parents=True, exist_ok=True)
-    lock = run_dir / ".lock"
+@contextmanager
+def _acquire_lock(cfg: RunConfig):
+    cfg.run_dir.mkdir(parents=True, exist_ok=True)
+    lock = cfg.run_dir / ".lock"
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
         raise CliError(
             f"run directory is locked by another command: {lock} "
             f"(remove the file if the owner is gone)") from None
-    with os.fdopen(fd, "w") as f:
-        f.write(f"{os.getpid()}\n")
-    return lock
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(f"{os.getpid()}\n")
+        for sub in ("logs", "checkpoints", "results"):
+            (cfg.run_dir / sub).mkdir(exist_ok=True)
+        yield
+    finally:
+        lock.unlink(missing_ok=True)
 
 
 def _pick_checkpoint(cfg: RunConfig, command: str) -> Path:
@@ -223,7 +227,13 @@ def cmd_eval(cfg: RunConfig) -> int:
     _require("eval", tasks_path is not None or val_path is not None,
              "needs data.tasks and/or data.val_corpus")
     vocab = cfg.load_vocab()
+    _require("eval", val_path is None or vocab.eos_id is not None,
+             "perplexity needs data.eos_id")
     config, params = _inference_model(cfg, "eval")
+    seq_len = min(256, config.max_context) if plan.seq_len is None else plan.seq_len
+    _require("eval", val_path is None or seq_len <= config.max_context,
+             f"eval.seq_len {seq_len} exceeds the checkpoint's max_context "
+             f"{config.max_context}")
 
     records: list[dict] = []
     aggregates: dict = {}
@@ -241,8 +251,6 @@ def cmd_eval(cfg: RunConfig) -> int:
             records.extend(em_records)
             aggregates.update(em=em_agg["em"], n_em=em_agg["n_tasks"])
     if val_path is not None:
-        seq_len = (min(256, config.max_context) if plan.seq_len is None
-                   else plan.seq_len)
         token_docs = [encode(doc.text, vocab)
                       for doc in load_corpus(val_path)]
         aggregates["ppl"] = perplexity(params, config, token_docs, seq_len, vocab.eos_id)
@@ -330,26 +338,17 @@ def main(argv=None) -> int:
 
 def _run(argv) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "inspect":
-        try:
-            return cmd_inspect(args.checkpoint)
-        except CliError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-
     try:
+        if args.command == "inspect":
+            return cmd_inspect(args.checkpoint)
         cfg = load_run_config(args.config, seed_override=args.seed)
+        with _acquire_lock(cfg):
+            return COMMANDS[args.command](cfg)
     except RunConfigError as exc:
         print("invalid run config:", file=sys.stderr)
         for violation in exc.violations:
             print(f"  {violation}", file=sys.stderr)
         return 2
-
-    lock = None
-    try:
-        lock = _acquire_lock(cfg.run_dir)
-        _prepare_run_dir(cfg)
-        return COMMANDS[args.command](cfg)
     except BrokenPipeError:
         raise
     except CliError as exc:
@@ -358,9 +357,6 @@ def _run(argv) -> int:
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if lock is not None:
-            lock.unlink(missing_ok=True)
 
 
 if __name__ == "__main__":

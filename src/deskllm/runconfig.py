@@ -289,11 +289,13 @@ def _build_run(obj, base_dir: Path, seed_override: int | None,
                       ("remap", RemapPlan)):
         if name in obj:
             run[name] = _build(cls, obj[name], name, out, base_dir)
-    model, plan = run["model"], run.get("pretrain")
+    model, plan, data = run["model"], run.get("pretrain"), run["data"]
     if model is not None and plan is not None:  # cmd_pretrain trains this model on these stages
         out.extend(f"pretrain.stages[{i}].seq_len: expected an int <= model.max_context "
                    f"({model.max_context}), got {stage.seq_len}"
                    for i, stage in enumerate(plan.stages) if stage.seq_len > model.max_context)
+    if "pretrain" in obj and data is not None and data.eos_id is None:
+        out.append("data.eos_id: pretrain needs an eos id to pack documents, got null")
     if out:
         return None
     return RunConfig(base_dir=base_dir, run_dir=(base_dir / obj["run_dir"]).resolve(),

@@ -167,8 +167,8 @@ def each(fn: Callable, items, fold: Callable | None = None) -> list:
     return results
 
 
-def _as_array(data, dtype=None) -> np.ndarray:
-    arr = np.asarray(data, dtype=dtype)
+def _as_array(data) -> np.ndarray:
+    arr = np.asarray(data)
     if arr.dtype not in (np.float32, np.float64):
         arr = arr.astype(np.float64)
     return arr
@@ -199,8 +199,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_node", "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = _as_array(data, dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = _as_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._node: _Node | None = None

@@ -291,6 +291,15 @@ def test_lock_released_after_runtime_failure(world, capsys):
     assert not (world / "failing" / ".lock").exists()
 
 
+def test_lock_released_when_an_output_folder_cannot_be_made(world, capsys):
+    config = _config_file(world, "blocked_logs")
+    (world / "blocked_logs").mkdir()
+    (world / "blocked_logs" / "logs").write_text("not a folder", encoding="utf-8")
+    assert main(["sft", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.startswith("error: FileExistsError:")
+    assert not (world / "blocked_logs" / ".lock").exists()
+
+
 def test_malformed_corpus_record_reported_with_file_and_line(world, capsys):
     lines = ['{"text": "a b c", "source": "web"}', '{"text": "d e f"}']
     (world / "bad_corpus.jsonl").write_text("\n".join(lines) + "\n")
@@ -369,6 +378,44 @@ def test_inspect_reports_parameter_count(pipeline, capsys):
 def test_inspect_missing_file(capsys, tmp_path):
     assert main(["inspect", "--checkpoint", str(tmp_path / "no.dkpt")]) == 1
     assert "no such checkpoint" in capsys.readouterr().err
+
+
+def _corrupt(source, path, how):
+    data = bytearray(source.read_bytes())
+    if how == "bad_magic":
+        data[:4] = b"NOPE"
+    elif how == "truncated":
+        del data[len(data) // 2:]
+    else:  # flip one payload byte
+        data[-1] ^= 0xFF
+    path.write_bytes(bytes(data))
+    return path
+
+
+CORRUPT = {"bad_magic": "not a checkpoint (bad magic or truncated)",
+           "truncated": "checksum mismatch", "flipped": "checksum mismatch"}
+
+
+@pytest.mark.parametrize("how", sorted(CORRUPT))
+def test_inspect_corrupt_file_is_one_error_line(pipeline, capsys, tmp_path, how):
+    """inspect reports a damaged checkpoint the way every command reports a failure."""
+    path = _corrupt(pipeline["run_dir"] / "checkpoints" / "pretrain.dkpt",
+                    tmp_path / f"{how}.dkpt", how)
+    assert main(["inspect", "--checkpoint", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: CheckpointError: {path}: {CORRUPT[how]}"]
+
+
+def test_module_entry_point_corrupt_file_no_traceback(pipeline, tmp_path):
+    path = _corrupt(pipeline["run_dir"] / "checkpoints" / "pretrain.dkpt",
+                    tmp_path / "bad_magic.dkpt", "bad_magic")
+    proc = subprocess.run(
+        [sys.executable, "-m", "deskllm.cli", "inspect", "--checkpoint", str(path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: CheckpointError:")
 
 
 def test_argparse_contract():
@@ -560,6 +607,44 @@ def test_values_the_run_would_reject_fail_at_load(world, capsys, key, value, lin
     assert main(["pretrain", "--config", str(path)]) == 2
     assert capsys.readouterr().err.splitlines() == ["invalid run config:", f"  {line}"]
     assert not (world / "runtime").exists()
+
+
+def test_pretrain_without_eos_id_fails_at_load(world, capsys):
+    doc = _base_config("no_eos")
+    doc["data"]["eos_id"] = None
+    path = world / "no_eos.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["pretrain", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "invalid run config:",
+        "  data.eos_id: pretrain needs an eos id to pack documents, got null"]
+    assert not (world / "no_eos").exists()
+
+
+@pytest.mark.parametrize("case", ["seq_len", "eos_id"])
+def test_eval_rejects_what_perplexity_cannot_run_before_scoring(
+        world, pipeline, capsys, monkeypatch, case):
+    """A perplexity eval that cannot run fails before any task is scored."""
+    def never(*args, **kwargs):
+        raise AssertionError("a task was scored")
+
+    monkeypatch.setattr("deskllm.cli.evaluate_tasks", never)
+    monkeypatch.setattr("deskllm.cli.evaluate_em_tasks", never)
+    name = f"eval_{case}"
+    doc = _base_config(name)
+    doc["eval"] = {"checkpoint": "pipe/checkpoints/pretrain.dkpt", "seq_len": 32}
+    if case == "seq_len":
+        doc["eval"]["seq_len"] = 65
+        line = "error: eval: eval.seq_len 65 exceeds the checkpoint's max_context 64"
+    else:
+        del doc["pretrain"]  # a pretrain section needs an eos id at load
+        doc["data"]["eos_id"] = None
+        line = "error: eval: perplexity needs data.eos_id"
+    path = world / f"{name}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["eval", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not (world / name / "results" / "eval.jsonl").exists()
 
 
 @pytest.mark.parametrize("key, value", [
